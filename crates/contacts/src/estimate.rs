@@ -11,9 +11,16 @@
 //! * [`SlidingWindowRate`] — contacts within a fixed recent window.
 //!
 //! [`PairRateTable`] maintains one estimator per node pair, which is the
-//! state each node carries in the distributed protocols.
+//! state each node carries in the distributed protocols. Simulators record
+//! every contact into it, so its layout is chosen for that hot path: the
+//! per-node sorted adjacency rows [`crate::ContactGraph`] uses, grown on
+//! demand, with each pair stored once under its lower endpoint as `(higher
+//! endpoint, state)` and found by binary search. The state is stored per
+//! estimator kind. A cumulative pair is a bare `u64` count next to the
+//! table-wide observation start, 16 B per pair with the `u32` key; EWMA and
+//! sliding-window pairs keep their estimator structs (56 B per pair, plus
+//! the window's recent contact times on the heap).
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use omn_sim::{SimDuration, SimTime};
@@ -131,9 +138,16 @@ impl RateEstimator for EwmaRate {
 }
 
 /// Rate over a sliding window of recent history.
+///
+/// Only contacts inside the trailing window are kept: recording a contact
+/// at `t` evicts those older than `t − window`. Queries must therefore come
+/// at `now ≥` the last recorded time (as every simulator's do: it records a
+/// contact when it happens and queries at its current clock), since the
+/// window of an earlier `now` may reach back past evicted contacts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlidingWindowRate {
     window: SimDuration,
+    /// Recorded contact times inside the trailing window, ascending.
     times: VecDeque<SimTime>,
     total: u64,
 }
@@ -153,21 +167,29 @@ impl SlidingWindowRate {
             total: 0,
         }
     }
+
+    /// Start of the window ending at `now`, in seconds: contacts at or
+    /// after it count.
+    fn cutoff_secs(&self, now: SimTime) -> f64 {
+        (now.as_secs() - self.window.as_secs()).max(0.0)
+    }
 }
 
 impl RateEstimator for SlidingWindowRate {
     fn record_contact(&mut self, t: SimTime) {
+        // The cutoff is monotone in `now`, so a contact outside the window
+        // at `t` stays outside it for every later query.
+        let cutoff_secs = self.cutoff_secs(t);
+        let stale = self.times.partition_point(|f| f.as_secs() < cutoff_secs);
+        self.times.drain(..stale);
         self.times.push_back(t);
         self.total += 1;
     }
 
     fn rate(&self, now: SimTime) -> f64 {
-        let cutoff_secs = (now.as_secs() - self.window.as_secs()).max(0.0);
-        let in_window = self
-            .times
-            .iter()
-            .filter(|t| t.as_secs() >= cutoff_secs)
-            .count();
+        let cutoff_secs = self.cutoff_secs(now);
+        let in_window =
+            self.times.len() - self.times.partition_point(|t| t.as_secs() < cutoff_secs);
         let effective_window = now.as_secs().min(self.window.as_secs());
         if effective_window <= 0.0 {
             0.0
@@ -192,37 +214,60 @@ pub enum EstimatorKind {
     Window(SimDuration),
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum AnyEstimator {
-    Cumulative(CumulativeMle),
-    Ewma(EwmaRate),
-    Window(SlidingWindowRate),
+/// Per-node sorted adjacency rows: row `lo` holds `(hi, state)` for every
+/// observed pair `lo < hi`, sorted by `hi`. Rows are created on demand.
+#[derive(Debug, Clone)]
+struct Adjacency<T> {
+    rows: Vec<Vec<(u32, T)>>,
 }
 
-impl AnyEstimator {
-    fn new(kind: EstimatorKind, start: SimTime) -> AnyEstimator {
-        match kind {
-            EstimatorKind::Cumulative => AnyEstimator::Cumulative(CumulativeMle::new(start)),
-            EstimatorKind::Ewma(alpha) => AnyEstimator::Ewma(EwmaRate::new(alpha)),
-            EstimatorKind::Window(w) => AnyEstimator::Window(SlidingWindowRate::new(w)),
-        }
+impl<T> Adjacency<T> {
+    fn new() -> Adjacency<T> {
+        Adjacency { rows: Vec::new() }
     }
 
-    fn record(&mut self, t: SimTime) {
-        match self {
-            AnyEstimator::Cumulative(e) => e.record_contact(t),
-            AnyEstimator::Ewma(e) => e.record_contact(t),
-            AnyEstimator::Window(e) => e.record_contact(t),
+    /// The state of pair `(lo, hi)`, inserted from `init` if absent.
+    fn entry(&mut self, lo: usize, hi: u32, init: impl FnOnce() -> T) -> &mut T {
+        if self.rows.len() <= lo {
+            self.rows.resize_with(lo + 1, Vec::new);
         }
+        let row = &mut self.rows[lo];
+        let pos = match row.binary_search_by_key(&hi, |e| e.0) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                row.insert(pos, (hi, init()));
+                pos
+            }
+        };
+        &mut row[pos].1
     }
 
-    fn rate(&self, now: SimTime) -> f64 {
-        match self {
-            AnyEstimator::Cumulative(e) => e.rate(now),
-            AnyEstimator::Ewma(e) => e.rate(now),
-            AnyEstimator::Window(e) => e.rate(now),
-        }
+    fn get(&self, lo: usize, hi: u32) -> Option<&T> {
+        let row = self.rows.get(lo)?;
+        let pos = row.binary_search_by_key(&hi, |e| e.0).ok()?;
+        Some(&row[pos].1)
     }
+
+    fn len(&self) -> usize {
+        self.rows.iter().map(Vec::len).sum()
+    }
+
+    /// Every pair as `(lo, hi, state)`, in ascending `(lo, hi)` order.
+    fn iter(&self) -> impl Iterator<Item = (u32, u32, &T)> {
+        self.rows
+            .iter()
+            .enumerate()
+            .flat_map(|(lo, row)| row.iter().map(move |(hi, e)| (lo as u32, *hi, e)))
+    }
+}
+
+/// The per-pair state of a [`PairRateTable`], stored per estimator kind.
+#[derive(Debug, Clone)]
+enum PairStates {
+    /// [`CumulativeMle`] shares the table's `start`, so a pair is its count.
+    Cumulative(Adjacency<u64>),
+    Ewma(f64, Adjacency<EwmaRate>),
+    Window(SimDuration, Adjacency<SlidingWindowRate>),
 }
 
 /// A table of per-pair rate estimates, as maintained by each protocol node
@@ -243,9 +288,8 @@ impl AnyEstimator {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PairRateTable {
-    kind: EstimatorKind,
     start: SimTime,
-    pairs: HashMap<(NodeId, NodeId), AnyEstimator>,
+    states: PairStates,
 }
 
 impl PairRateTable {
@@ -253,18 +297,27 @@ impl PairRateTable {
     /// observation windows start at `start`.
     #[must_use]
     pub fn new(kind: EstimatorKind, start: SimTime) -> PairRateTable {
-        PairRateTable {
-            kind,
-            start,
-            pairs: HashMap::new(),
+        let states = match kind {
+            EstimatorKind::Cumulative => PairStates::Cumulative(Adjacency::new()),
+            EstimatorKind::Ewma(alpha) => PairStates::Ewma(alpha, Adjacency::new()),
+            EstimatorKind::Window(w) => PairStates::Window(w, Adjacency::new()),
+        };
+        PairRateTable { start, states }
+    }
+
+    /// The row and column of a pair: its lower and higher endpoint.
+    fn key(a: NodeId, b: NodeId) -> (usize, u32) {
+        if a < b {
+            (a.index(), b.0)
+        } else {
+            (b.index(), a.0)
         }
     }
 
-    fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a < b {
-            (a, b)
-        } else {
-            (b, a)
+    fn cumulative(&self, count: u64) -> CumulativeMle {
+        CumulativeMle {
+            start: self.start,
+            count,
         }
     }
 
@@ -275,26 +328,41 @@ impl PairRateTable {
     /// Panics if `a == b`.
     pub fn record_contact(&mut self, a: NodeId, b: NodeId, t: SimTime) {
         assert!(a != b, "PairRateTable::record_contact: self contact");
-        let kind = self.kind;
-        let start = self.start;
-        self.pairs
-            .entry(PairRateTable::key(a, b))
-            .or_insert_with(|| AnyEstimator::new(kind, start))
-            .record(t);
+        let (lo, hi) = PairRateTable::key(a, b);
+        match &mut self.states {
+            PairStates::Cumulative(adj) => *adj.entry(lo, hi, || 0) += 1,
+            PairStates::Ewma(alpha, adj) => {
+                adj.entry(lo, hi, || EwmaRate::new(*alpha))
+                    .record_contact(t);
+            }
+            PairStates::Window(w, adj) => {
+                adj.entry(lo, hi, || SlidingWindowRate::new(*w))
+                    .record_contact(t);
+            }
+        }
     }
 
     /// The estimated rate between `a` and `b` as of `now` (0 if never met).
     #[must_use]
     pub fn rate(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
-        self.pairs
-            .get(&PairRateTable::key(a, b))
-            .map_or(0.0, |e| e.rate(now))
+        let (lo, hi) = PairRateTable::key(a, b);
+        match &self.states {
+            PairStates::Cumulative(adj) => adj
+                .get(lo, hi)
+                .map_or(0.0, |&n| self.cumulative(n).rate(now)),
+            PairStates::Ewma(_, adj) => adj.get(lo, hi).map_or(0.0, |e| e.rate(now)),
+            PairStates::Window(_, adj) => adj.get(lo, hi).map_or(0.0, |e| e.rate(now)),
+        }
     }
 
     /// Number of pairs with at least one observed contact.
     #[must_use]
     pub fn observed_pairs(&self) -> usize {
-        self.pairs.len()
+        match &self.states {
+            PairStates::Cumulative(adj) => adj.len(),
+            PairStates::Ewma(_, adj) => adj.len(),
+            PairStates::Window(_, adj) => adj.len(),
+        }
     }
 
     /// Feeds every contact start of a materialized trace into the table,
@@ -313,9 +381,28 @@ impl PairRateTable {
     #[must_use]
     pub fn to_graph(&self, node_count: usize, now: SimTime) -> crate::ContactGraph {
         let mut g = crate::ContactGraph::new(node_count);
-        for (&(a, b), est) in &self.pairs {
-            if a.index() < node_count && b.index() < node_count {
-                g.set_rate(a, b, est.rate(now));
+        // Pairs arrive in ascending (lo, hi) order, so every row of `g`
+        // grows by appends. `lo < hi`, so checking `hi` bounds both.
+        let mut put = |lo: u32, hi: u32, rate: f64| {
+            if (hi as usize) < node_count {
+                g.set_rate(NodeId(lo), NodeId(hi), rate);
+            }
+        };
+        match &self.states {
+            PairStates::Cumulative(adj) => {
+                for (lo, hi, &n) in adj.iter() {
+                    put(lo, hi, self.cumulative(n).rate(now));
+                }
+            }
+            PairStates::Ewma(_, adj) => {
+                for (lo, hi, e) in adj.iter() {
+                    put(lo, hi, e.rate(now));
+                }
+            }
+            PairStates::Window(_, adj) => {
+                for (lo, hi, e) in adj.iter() {
+                    put(lo, hi, e.rate(now));
+                }
             }
         }
         g
@@ -372,6 +459,49 @@ mod tests {
         // At t=300, window [200, 300] is empty.
         assert_eq!(e.rate(t(300.0)), 0.0);
         assert_eq!(e.count(), 2);
+    }
+
+    /// The unbounded estimator this one replaced: every contact kept,
+    /// scanned in full per query.
+    fn unbounded_window_rate(window: f64, times: &[SimTime], now: SimTime) -> f64 {
+        let cutoff_secs = (now.as_secs() - window).max(0.0);
+        let in_window = times.iter().filter(|t| t.as_secs() >= cutoff_secs).count();
+        let effective_window = now.as_secs().min(window);
+        if effective_window <= 0.0 {
+            0.0
+        } else {
+            in_window as f64 / effective_window
+        }
+    }
+
+    #[test]
+    fn sliding_window_stays_bounded_and_matches_the_unbounded_rate() {
+        let window = 100.0;
+        let mut e = SlidingWindowRate::new(SimDuration::from_secs(window));
+        let mut seen = Vec::new();
+        // Monotone times with repeats and irregular gaps, straddling the
+        // window edge (0.1 is inexact in binary).
+        let mut now = 0.0;
+        for i in 0..5000u32 {
+            now += f64::from(i % 7) * 0.1 + f64::from(i % 3);
+            let at = t(now);
+            e.record_contact(at);
+            seen.push(at);
+            // Gaps average 1.3 s, so ~77 contacts fit in the window.
+            assert!(e.times.len() < 200, "deque grew to {}", e.times.len());
+            for q in [at, t(now + 0.1), t(now + 50.0), t(now + window)] {
+                assert_eq!(
+                    e.rate(q).to_bits(),
+                    unbounded_window_rate(window, &seen, q).to_bits()
+                );
+            }
+        }
+        assert_eq!(e.count(), 5000);
+    }
+
+    #[test]
+    fn cumulative_pair_state_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<(u32, u64)>(), 16);
     }
 
     #[test]

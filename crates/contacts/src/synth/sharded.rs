@@ -138,8 +138,25 @@ impl ShardedCommunityConfig {
 }
 
 /// Decodes a linear unordered-pair index `k ∈ [0, m(m-1)/2)` over `m`
-/// nodes into `(i, j)` with `i < j`.
-fn decode_pair(mut k: usize, m: usize) -> (usize, usize) {
+/// nodes into `(i, j)` with `i < j`, enumerating row-major: `(0, 1), (0, 2),
+/// …, (0, m-1), (1, 2), …`.
+///
+/// Counted from the last pair back, `back = m(m-1)/2 - 1 - k`, row `i` is
+/// the `r = m-2-i`-th row and starts at the triangular number `r(r+1)/2`.
+/// The row of `back` is the largest `r` with `r(r+1)/2 ≤ back`, i.e.
+/// `(2r+1)² ≤ 8·back+1`, so `r = (isqrt(8·back+1) - 1) / 2` exactly, in
+/// integers.
+fn decode_pair(k: usize, m: usize) -> (usize, usize) {
+    let pairs = m * (m - 1) / 2;
+    debug_assert!(k < pairs, "pair index {k} out of range for {m} nodes");
+    let back = pairs - 1 - k;
+    let r = ((8 * back + 1).isqrt() - 1) / 2;
+    (m - 2 - r, m - 1 - (back - r * (r + 1) / 2))
+}
+
+/// The O(m) row walk [`decode_pair`] replaced, kept as its reference.
+#[cfg(test)]
+fn decode_pair_by_rows(mut k: usize, m: usize) -> (usize, usize) {
     for i in 0..m {
         let row = m - 1 - i;
         if k < row {
@@ -768,5 +785,14 @@ mod tests {
             assert!(seen.insert((i, j)));
         }
         assert_eq!(seen.len(), m * (m - 1) / 2);
+    }
+
+    #[test]
+    fn decode_pair_closed_form_matches_the_row_walk() {
+        for m in 2..=256 {
+            for k in 0..m * (m - 1) / 2 {
+                assert_eq!(decode_pair(k, m), decode_pair_by_rows(k, m), "k={k} m={m}");
+            }
+        }
     }
 }

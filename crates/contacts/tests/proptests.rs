@@ -6,6 +6,10 @@ use omn_contacts::{Contact, ContactGraph, NodeId, TimelineKind, TraceBuilder, Tr
 use omn_sim::{RngFactory, SimDuration, SimTime};
 use proptest::prelude::*;
 
+use omn_contacts::estimate::{
+    CumulativeMle, EstimatorKind, EwmaRate, PairRateTable, RateEstimator, SlidingWindowRate,
+};
+
 /// A strategy producing arbitrary valid contacts over `n` nodes.
 fn contact_strategy(n: u32) -> impl Strategy<Value = Contact> {
     (0..n, 0..n, 0.0f64..1e5, 0.001f64..1e4).prop_filter_map(
@@ -22,6 +26,59 @@ fn contact_strategy(n: u32) -> impl Strategy<Value = Contact> {
             })
         },
     )
+}
+
+/// A strategy over the three estimator kinds with arbitrary parameters.
+fn estimator_kind() -> impl Strategy<Value = EstimatorKind> {
+    (0u8..3, 0.01f64..1.0, 0.5f64..500.0).prop_map(|(which, alpha, window)| match which {
+        0 => EstimatorKind::Cumulative,
+        1 => EstimatorKind::Ewma(alpha),
+        _ => EstimatorKind::Window(SimDuration::from_secs(window)),
+    })
+}
+
+/// The reference model of a [`PairRateTable`]: one boxed estimator per
+/// unordered pair in a hash map.
+struct ReferenceTable {
+    kind: EstimatorKind,
+    start: SimTime,
+    pairs: std::collections::HashMap<(NodeId, NodeId), Box<dyn RateEstimator>>,
+}
+
+impl ReferenceTable {
+    fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+        (a.min(b), a.max(b))
+    }
+
+    fn record_contact(&mut self, a: NodeId, b: NodeId, t: SimTime) {
+        let (kind, start) = (self.kind, self.start);
+        self.pairs
+            .entry(ReferenceTable::key(a, b))
+            .or_insert_with(|| -> Box<dyn RateEstimator> {
+                match kind {
+                    EstimatorKind::Cumulative => Box::new(CumulativeMle::new(start)),
+                    EstimatorKind::Ewma(alpha) => Box::new(EwmaRate::new(alpha)),
+                    EstimatorKind::Window(w) => Box::new(SlidingWindowRate::new(w)),
+                }
+            })
+            .record_contact(t);
+    }
+
+    fn rate(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
+        self.pairs
+            .get(&ReferenceTable::key(a, b))
+            .map_or(0.0, |e| e.rate(now))
+    }
+
+    fn to_graph(&self, node_count: usize, now: SimTime) -> ContactGraph {
+        let mut g = ContactGraph::new(node_count);
+        for (&(a, b), e) in &self.pairs {
+            if a.index() < node_count && b.index() < node_count {
+                g.set_rate(a, b, e.rate(now));
+            }
+        }
+        g
+    }
 }
 
 proptest! {
@@ -431,6 +488,57 @@ proptest! {
             prop_assert!(
                 (w[0].start(), w[0].end(), w[0].pair()) <= (w[1].start(), w[1].end(), w[1].pair())
             );
+        }
+    }
+
+    /// The adjacency-row `PairRateTable` answers exactly as a hash map of
+    /// per-pair estimators does, for every estimator kind: bit-equal rates
+    /// for every pair, mid-run and after, the same pair count, and the same
+    /// exported graph.
+    #[test]
+    fn pair_rate_table_matches_a_map_of_estimators(
+        kind in estimator_kind(),
+        start in 0.0f64..200.0,
+        nodes in 2u32..14,
+        contacts in prop::collection::vec((0u32..14, 0u32..14, 0u8..4, 0.0f64..50.0), 0..200),
+        later in 0.0f64..1e3,
+    ) {
+        let start = SimTime::from_secs(start);
+        let mut table = PairRateTable::new(kind, start);
+        let mut reference = ReferenceTable {
+            kind,
+            start,
+            pairs: std::collections::HashMap::new(),
+        };
+        let mut now = 0.0;
+        for &(a, b, repeat, gap) in &contacts {
+            let (a, b) = (NodeId(a % nodes), NodeId(b % nodes));
+            if a == b {
+                continue;
+            }
+            // One gap in four is zero, so equal contact times occur.
+            if repeat != 0 {
+                now += gap;
+            }
+            let t = SimTime::from_secs(now);
+            table.record_contact(a, b, t);
+            reference.record_contact(a, b, t);
+            prop_assert_eq!(table.rate(b, a, t).to_bits(), reference.rate(a, b, t).to_bits());
+        }
+        prop_assert_eq!(table.observed_pairs(), reference.pairs.len());
+        for at in [now, now + later] {
+            let at = SimTime::from_secs(at);
+            for a in (0..nodes).map(NodeId) {
+                for b in (0..nodes).map(NodeId) {
+                    prop_assert_eq!(
+                        table.rate(a, b, at).to_bits(),
+                        reference.rate(a, b, at).to_bits()
+                    );
+                }
+            }
+            for node_count in [nodes as usize, nodes as usize / 2 + 1] {
+                prop_assert_eq!(table.to_graph(node_count, at), reference.to_graph(node_count, at));
+            }
         }
     }
 }

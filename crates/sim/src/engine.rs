@@ -1,6 +1,6 @@
 //! The simulation engine: a virtual clock driving an event queue.
 
-use crate::queue::{EventClass, EventHandle, EventQueue};
+use crate::queue::{EventClass, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// An event delivered by [`Engine::next_event`].
@@ -16,8 +16,8 @@ pub struct ScheduledEvent<E> {
 /// A discrete-event simulation engine.
 ///
 /// The engine owns the virtual clock and an [`EventQueue`]. Simulations are
-/// driven by an explicit loop so that handlers can freely schedule and cancel
-/// follow-up events on the engine they hold:
+/// driven by an explicit loop so that handlers can freely schedule follow-up
+/// events on the engine they hold:
 ///
 /// ```
 /// use omn_sim::{Engine, SimDuration};
@@ -100,13 +100,13 @@ impl<E> Engine<E> {
     ///
     /// Panics if `at` is before the current time: delivering events in the
     /// past would violate causality.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventHandle {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         assert!(
             at >= self.now,
             "Engine::schedule_at: {at} is before now ({})",
             self.now
         );
-        self.queue.schedule(at, payload)
+        self.queue.schedule(at, payload);
     }
 
     /// Schedules `payload` at absolute time `at` in the given delivery
@@ -116,49 +116,32 @@ impl<E> Engine<E> {
     /// # Panics
     ///
     /// Panics if `at` is before the current time.
-    pub fn schedule_at_class(&mut self, at: SimTime, class: EventClass, payload: E) -> EventHandle {
+    pub fn schedule_at_class(&mut self, at: SimTime, class: EventClass, payload: E) {
         assert!(
             at >= self.now,
             "Engine::schedule_at_class: {at} is before now ({})",
             self.now
         );
-        self.queue.schedule_with_class(at, class, payload)
+        self.queue.schedule_with_class(at, class, payload);
     }
 
     /// Schedules `payload` after a relative delay.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventHandle {
+    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) {
         let at = self.now + delay;
-        self.queue.schedule(at, payload)
+        self.queue.schedule(at, payload);
     }
 
     /// Schedules `payload` after a relative delay in the given delivery
     /// class.
-    pub fn schedule_in_class(
-        &mut self,
-        delay: SimDuration,
-        class: EventClass,
-        payload: E,
-    ) -> EventHandle {
+    pub fn schedule_in_class(&mut self, delay: SimDuration, class: EventClass, payload: E) {
         let at = self.now + delay;
-        self.queue.schedule_with_class(at, class, payload)
-    }
-
-    /// Cancels a pending event, returning its payload if it had not yet
-    /// fired.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        self.queue.cancel(handle)
-    }
-
-    /// True if `handle` refers to an event that is still pending.
-    #[must_use]
-    pub fn is_pending(&self, handle: EventHandle) -> bool {
-        self.queue.is_pending(handle)
+        self.queue.schedule_with_class(at, class, payload);
     }
 
     /// The time of the next deliverable event, if one exists within the
     /// horizon.
     #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         let t = self.queue.peek_time()?;
         match self.horizon {
             Some(h) if t > h => None,
@@ -173,20 +156,12 @@ impl<E> Engine<E> {
     /// advanced to the horizon so that `now()` reports the full simulated
     /// span.
     pub fn next_event(&mut self) -> Option<ScheduledEvent<E>> {
-        match self.queue.peek_time() {
-            None => None,
-            Some(t) => {
-                if let Some(h) = self.horizon {
-                    if t > h {
-                        self.now = self.now.max(h);
-                        return None;
-                    }
-                }
-                let (time, payload) = self.queue.pop().expect("peeked event must pop");
-                self.now = time;
-                Some(ScheduledEvent { time, payload })
-            }
+        let t = self.queue.peek_time()?;
+        if let Some(h) = self.horizon.filter(|&h| t > h) {
+            self.now = self.now.max(h);
+            return None;
         }
+        self.deliver()
     }
 
     /// Delivers the next event at or before `bound`, advancing the clock to
@@ -205,16 +180,19 @@ impl<E> Engine<E> {
             None => bound,
         };
         match self.queue.peek_time() {
-            Some(t) if t <= limit => {
-                let (time, payload) = self.queue.pop().expect("peeked event must pop");
-                self.now = time;
-                Some(ScheduledEvent { time, payload })
-            }
+            Some(t) if t <= limit => self.deliver(),
             _ => {
                 self.now = self.now.max(limit);
                 None
             }
         }
+    }
+
+    /// Pops the next event and advances the clock to its timestamp.
+    fn deliver(&mut self) -> Option<ScheduledEvent<E>> {
+        let (time, payload) = self.queue.pop()?;
+        self.now = time;
+        Some(ScheduledEvent { time, payload })
     }
 
     /// Runs the simulation to completion (or to the horizon), invoking
@@ -284,15 +262,6 @@ mod tests {
         assert_eq!(e.peek_time(), None);
         e.set_horizon(None);
         assert_eq!(e.peek_time(), Some(t(2.0)));
-    }
-
-    #[test]
-    fn cancellation_through_engine() {
-        let mut e = Engine::new();
-        let h = e.schedule_in(d(1.0), "x");
-        assert!(e.is_pending(h));
-        assert_eq!(e.cancel(h), Some("x"));
-        assert!(e.next_event().is_none());
     }
 
     #[test]

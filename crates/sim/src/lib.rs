@@ -5,7 +5,7 @@
 //! built on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — finite, totally ordered virtual time.
-//! * [`EventQueue`] — a cancellable priority queue of timestamped events with
+//! * [`EventQueue`] — a priority queue of timestamped events with
 //!   deterministic [`EventClass`]-then-FIFO tie-breaking.
 //! * [`Engine`] — a virtual clock driving an [`EventQueue`], with an optional
 //!   horizon.
@@ -65,7 +65,7 @@ pub use budget::{ByteConsume, TransferBudget};
 pub use engine::{Engine, ScheduledEvent};
 pub use link::{LinkConfig, LinkStats, Queued, TxQueues};
 pub use oracle::{InvariantOracle, OracleMode, OracleObs, OracleReport, OracleSink, Violation};
-pub use queue::{EventClass, EventHandle, EventQueue};
+pub use queue::{EventClass, EventQueue};
 pub use rng::{split_mix64, RngFactory};
 pub use shard::{ShardWindow, ShardWorker, ShardedRunner};
 pub use time::{SimDuration, SimTime, TimeError};

@@ -1,22 +1,16 @@
-//! A cancellable, deterministic event queue.
+//! A deterministic event queue.
 //!
 //! Events scheduled at equal times are delivered by ascending
 //! [`EventClass`], then in scheduling order (FIFO), which keeps simulations
-//! reproducible regardless of heap internals. Cancellation is O(1): the
-//! payload is removed immediately and the heap entry becomes a tombstone
-//! that is skipped lazily on pop.
+//! reproducible regardless of heap internals. Each heap entry carries its
+//! payload; entries are ordered on `(time, class, seq)` alone, and `seq` is
+//! unique per queue, so the delivery order is total and never consults the
+//! payload.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// A handle to a scheduled event, usable to cancel it.
-///
-/// Handles are unique per [`EventQueue`] over its entire lifetime; a handle
-/// from one queue must not be used with another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventHandle(u64);
 
 /// A delivery-priority class for events that share a timestamp.
 ///
@@ -43,35 +37,63 @@ impl Default for EventClass {
     }
 }
 
-// Field order matters: derived Ord compares (time, class, seq)
-// lexicographically, giving time-ordered delivery with class priority and
-// FIFO tie-breaking at equal (time, class).
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct HeapKey {
+/// A scheduled event: its ordering key and its payload.
+#[derive(Debug)]
+struct Entry<E> {
     time: SimTime,
     class: EventClass,
     seq: u64,
+    payload: E,
 }
 
-/// A priority queue of timestamped events with O(1) cancellation and
-/// deterministic FIFO tie-breaking.
+impl<E> Entry<E> {
+    // Lexicographic (time, class, seq): time-ordered delivery with class
+    // priority and FIFO tie-breaking at equal (time, class).
+    fn key(&self) -> (SimTime, EventClass, u64) {
+        (self.time, self.class, self.seq)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Entry<E>) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Entry<E>) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Entry<E>) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// A priority queue of timestamped events with deterministic
+/// class-then-FIFO tie-breaking.
 ///
 /// # Example
 ///
 /// ```
-/// use omn_sim::{EventQueue, SimTime};
+/// use omn_sim::{EventClass, EventQueue, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// let h = q.schedule(SimTime::from_secs(2.0), "late");
-/// q.schedule(SimTime::from_secs(1.0), "early");
-/// q.cancel(h);
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "early")));
+/// q.schedule(SimTime::from_secs(2.0), "late");
+/// q.schedule(SimTime::from_secs(1.0), "default");
+/// q.schedule_with_class(SimTime::from_secs(1.0), EventClass(0), "urgent");
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "urgent")));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "default")));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(2.0), "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<HeapKey>>,
-    payloads: HashMap<u64, E>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
 }
 
@@ -87,90 +109,55 @@ impl<E> EventQueue<E> {
     pub fn new() -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
-            payloads: HashMap::new(),
             next_seq: 0,
         }
     }
 
-    /// Schedules `payload` at `time` with [`EventClass::DEFAULT`] and
-    /// returns a cancellation handle.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventHandle {
-        self.schedule_with_class(time, EventClass::DEFAULT, payload)
+    /// Schedules `payload` at `time` with [`EventClass::DEFAULT`].
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
+        self.schedule_with_class(time, EventClass::DEFAULT, payload);
     }
 
     /// Schedules `payload` at `time` in the given delivery class.
     ///
     /// At equal timestamps, events fire by ascending class, then FIFO.
-    pub fn schedule_with_class(
-        &mut self,
-        time: SimTime,
-        class: EventClass,
-        payload: E,
-    ) -> EventHandle {
+    pub fn schedule_with_class(&mut self, time: SimTime, class: EventClass, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(HeapKey { time, class, seq }));
-        self.payloads.insert(seq, payload);
-        EventHandle(seq)
+        self.heap.push(Reverse(Entry {
+            time,
+            class,
+            seq,
+            payload,
+        }));
     }
 
-    /// Cancels a previously scheduled event, returning its payload if it was
-    /// still pending. Cancelling an already-fired or already-cancelled event
-    /// returns `None`.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        self.payloads.remove(&handle.0)
-    }
-
-    /// True if `handle` refers to an event that has not yet fired or been
-    /// cancelled.
+    /// The timestamp of the next event, if any.
     #[must_use]
-    pub fn is_pending(&self, handle: EventHandle) -> bool {
-        self.payloads.contains_key(&handle.0)
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
-    /// The timestamp of the next live event, if any.
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_tombstones();
-        self.heap.peek().map(|Reverse(k)| k.time)
-    }
-
-    /// Removes and returns the next live event as `(time, payload)`.
+    /// Removes and returns the next event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skip_tombstones();
-        let Reverse(key) = self.heap.pop()?;
-        let payload = self
-            .payloads
-            .remove(&key.seq)
-            .expect("tombstones were skipped, payload must exist");
-        Some((key.time, payload))
+        self.heap.pop().map(|Reverse(e)| (e.time, e.payload))
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.payloads.len()
+        self.heap.len()
     }
 
-    /// True if there are no live events.
+    /// True if there are no pending events.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
+        self.heap.is_empty()
     }
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.payloads.clear();
-    }
-
-    fn skip_tombstones(&mut self) {
-        while let Some(Reverse(key)) = self.heap.peek() {
-            if self.payloads.contains_key(&key.seq) {
-                break;
-            }
-            self.heap.pop();
-        }
     }
 }
 
@@ -222,25 +209,14 @@ mod tests {
     }
 
     #[test]
-    fn cancellation() {
+    fn peek_reports_the_next_time_without_popping() {
         let mut q = EventQueue::new();
-        let h1 = q.schedule(t(1.0), "a");
-        let h2 = q.schedule(t(2.0), "b");
-        assert!(q.is_pending(h1));
-        assert_eq!(q.cancel(h1), Some("a"));
-        assert!(!q.is_pending(h1));
-        assert_eq!(q.cancel(h1), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(2.0), "b")));
-        assert_eq!(q.cancel(h2), None);
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(1.0), "a");
+        assert_eq!(q.peek_time(), None);
         q.schedule(t(2.0), "b");
-        q.cancel(h);
+        q.schedule(t(1.0), "a");
+        assert_eq!(q.peek_time(), Some(t(1.0)));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((t(1.0), "a")));
         assert_eq!(q.peek_time(), Some(t(2.0)));
     }
 

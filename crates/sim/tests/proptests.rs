@@ -2,7 +2,7 @@
 
 use omn_sim::metrics::{SampleHistogram, TimeWeightedMean};
 use omn_sim::stats::{mean_ci95, EmpiricalCdf, Summary, Welford};
-use omn_sim::{Engine, EventQueue, RngFactory, SimDuration, SimTime};
+use omn_sim::{Engine, EventClass, EventQueue, RngFactory, SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn finite_positive() -> impl Strategy<Value = f64> {
@@ -28,32 +28,21 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
-    /// Cancelling a subset of events removes exactly those events.
+    /// Pop order is a stable sort of the scheduled events by (time, class):
+    /// ties in both fall back to insertion order. Few distinct times and
+    /// classes force heavy ties.
     #[test]
-    fn queue_cancel_removes_exactly(
-        times in prop::collection::vec(0.0f64..1e3, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
+    fn queue_order_is_a_stable_sort_by_time_then_class(
+        events in prop::collection::vec((0u8..6, 0u8..4), 0..300),
     ) {
         let mut q = EventQueue::new();
-        let handles: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule(SimTime::from_secs(t), i))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (h, &c) in handles.iter().zip(cancel_mask.iter()) {
-            if c {
-                q.cancel(*h);
-                cancelled.insert(*h);
-            }
+        for (i, &(t, class)) in events.iter().enumerate() {
+            q.schedule_with_class(SimTime::from_secs(f64::from(t)), EventClass(class), i);
         }
-        let mut seen = std::collections::HashSet::new();
-        while let Some((_, i)) = q.pop() {
-            seen.insert(i);
-        }
-        for (i, h) in handles.iter().enumerate() {
-            prop_assert_eq!(seen.contains(&i), !cancelled.contains(h));
-        }
+        let mut expected: Vec<usize> = (0..events.len()).collect();
+        expected.sort_by_key(|&i| events[i]);
+        let popped: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|(_, i)| i).collect();
+        prop_assert_eq!(popped, expected);
     }
 
     /// The engine clock never goes backwards and ends at the max event time.
