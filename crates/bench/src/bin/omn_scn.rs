@@ -1,5 +1,5 @@
 //! `omn-scn` — the scenario-compiler CLI: lint, plan, and run `.scn`
-//! specs without going through an `exp_*` wrapper.
+//! specs. `omn-scn run eNN` is how one experiment runs.
 //!
 //! ```text
 //! omn-scn check <path|dir> …    parse + compile every spec; exit 1 on error
@@ -12,7 +12,7 @@
 //! first `--flag` on is the standard override set (`--seeds`, `--threads`,
 //! `--no-wall`, …), applied with the usual `CLI > spec > default`
 //! precedence. `plan` and `run` also accept an embedded spec name (`e01`
-//! … `e17`) instead of a file path.
+//! … `e19`) instead of a file path.
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -184,6 +184,6 @@ fn list(paths: &[String]) {
             Err(err) => println!("{name}  (broken embedded spec: {err})"),
         }
     }
-    // `usage()` is the flag reference shared with every exp_* wrapper.
+    // `usage()` is the flag reference shared with `run_all`.
     println!("\noverride flags (plan/run/check): {}", usage());
 }

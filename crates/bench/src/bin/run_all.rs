@@ -1,10 +1,9 @@
 //! Runs the complete reconstructed evaluation (E1-E19) in order.
 //!
-//! Every experiment executes through the scenario compiler: each
-//! campaign's committed `specs/eNN.scn` is compiled (with the
-//! process-wide CLI overrides folded in) and dispatched to its campaign
-//! driver. `--legacy` runs the hand-written campaigns instead — both
-//! paths are byte-identical (the CI spec-equivalence job diffs them).
+//! Every experiment executes through the scenario compiler: `run_all`
+//! walks the embedded `specs/eNN.scn` set, compiles each spec (with the
+//! process-wide CLI overrides folded in) and dispatches the plan to its
+//! campaign driver.
 //!
 //! Seed replications run in parallel (one thread per seed, merged in seed
 //! order — byte-identical to serial). `--seeds a,b,c` overrides the seed
@@ -12,17 +11,16 @@
 //! (with optional `--trace-format name`) points E16 at one dataset file;
 //! `--serial` forces sequential execution.
 //!
-//! A panicking experiment no longer takes the campaign down with it: each
+//! A panicking experiment does not take the campaign down with it: each
 //! experiment runs under `catch_unwind`, the campaign continues, and the
-//! run ends with a per-experiment timing summary (which also records
-//! whether the spec or the legacy driver ran). Any failure makes the
+//! run ends with a per-experiment timing summary. Any failure makes the
 //! process exit nonzero, so CI still catches it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use omn_bench::scenario::{compile_str, embedded, execute};
+use omn_bench::scenario::{compile_str, execute, EMBEDDED};
 
 /// Renders a panic payload the way the default hook would.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -35,67 +33,32 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// (campaign id, embedded spec name, legacy driver); a `None` spec
-/// always runs the hand-written campaign.
-type Experiment = (&'static str, Option<&'static str>, fn());
-
 fn main() -> ExitCode {
-    use omn_bench::experiments as e;
     let overrides = omn_bench::cli_init();
-    let experiments: [Experiment; 19] = [
-        ("E1", Some("e01"), e::e01_trace_stats::run),
-        ("E2", Some("e02"), e::e02_delay_validation::run),
-        ("E3", Some("e03"), e::e03_freshness_time::run),
-        ("E4", Some("e04"), e::e04_freshness_requirement::run),
-        ("E5", Some("e05"), e::e05_refresh_period::run),
-        ("E6", Some("e06"), e::e06_overhead::run),
-        ("E7", Some("e07"), e::e07_caching_nodes::run),
-        ("E8", Some("e08"), e::e08_ablation::run),
-        ("E9", Some("e09"), e::e09_data_access::run),
-        ("E10", Some("e10"), e::e10_routing_baselines::run),
-        ("E11", Some("e11"), e::e11_robustness::run),
-        ("E12", Some("e12"), e::e12_load_distribution::run),
-        ("E13", Some("e13"), e::e13_fault_tolerance::run),
-        ("E14", Some("e14"), e::e14_joint_world::run),
-        ("E15", Some("e15"), e::e15_scalability::run),
-        ("E16", Some("e16"), e::e16_real_traces::run),
-        ("E17", Some("e17"), e::e17_chaos::run),
-        ("E18", Some("e18"), e::e18_runtime::run),
-        ("E19", Some("e19"), e::e19_bandwidth::run),
-    ];
-
-    let mut timings: Vec<(&str, f64, &str, bool)> = Vec::new();
+    let mut timings: Vec<(&str, f64, bool)> = Vec::new();
     let mut failed: Vec<&str> = Vec::new();
-    for (id, spec, legacy) in experiments {
-        let spec = if overrides.legacy { None } else { spec };
-        let mode = if spec.is_some() { "spec" } else { "legacy" };
+    for &(name, text) in EMBEDDED {
         let start = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| match spec {
-            Some(name) => {
-                let text = embedded(name).expect("every E1-E17 spec is embedded");
-                match compile_str(text, overrides) {
-                    Ok(plan) => execute(&plan),
-                    Err(err) => panic!("specs/{name}.scn: {err}"),
-                }
-            }
-            None => legacy(),
+        let outcome = catch_unwind(AssertUnwindSafe(|| match compile_str(text, overrides) {
+            Ok(plan) => execute(&plan),
+            Err(err) => panic!("specs/{name}.scn: {err}"),
         }));
         let secs = start.elapsed().as_secs_f64();
         let ok = outcome.is_ok();
         if let Err(payload) = outcome {
             println!(
-                "\n!!! {id} FAILED after {secs:.1} s: {}",
+                "\n!!! {name} FAILED after {secs:.1} s: {}",
                 panic_message(&*payload)
             );
-            failed.push(id);
+            failed.push(name);
         }
-        timings.push((id, secs, mode, ok));
+        timings.push((name, secs, ok));
     }
 
     println!("\n=== campaign summary ===");
-    for (id, secs, mode, ok) in &timings {
+    for (name, secs, ok) in &timings {
         println!(
-            "{id:<4} {secs:>8.1} s  {mode:<6}  {}",
+            "{name:<4} {secs:>8.1} s  {}",
             if *ok { "ok" } else { "FAILED" }
         );
     }

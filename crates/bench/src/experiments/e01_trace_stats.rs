@@ -5,7 +5,7 @@ use omn_contacts::TraceStats;
 use omn_sim::stats::mean_ci95;
 
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, per_seed, Table};
+use crate::{banner, per_seed, Table};
 
 /// Parameters of E1: which presets to characterize, over which seeds.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,15 +17,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            presets: TracePreset::ALL.to_vec(),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -36,20 +27,11 @@ impl Params {
     }
 }
 
-/// Runs E1 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E1 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E1: prints one row per trace preset with node count, span,
 /// contacts, density, inter-contact and contact-duration statistics
 /// (averaged over seeds).
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E1", "trace characteristics (Table I analogue)");
     let mut table = Table::new([
         "trace",

@@ -12,6 +12,16 @@ use omn_sim::{RngFactory, SimDuration};
 use crate::scenario::{CampaignPlan, PairwiseWorld, WorldSpec};
 use crate::{banner, Table};
 
+/// The pairwise-exponential validation world (`specs/e02.scn` commits the
+/// same one).
+const WORLD: PairwiseWorld = PairwiseWorld {
+    nodes: 40,
+    span_days: 8.0,
+    mean_interval_secs: 7200.0,
+    rate_shape: 1.5,
+    world_seed: 17,
+};
+
 /// Parameters of E2: the pairwise-exponential world and the validation
 /// sweep shape. No seed set — the analytical comparison uses one fixed
 /// world keyed by `world.world_seed`.
@@ -28,30 +38,13 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            world: PairwiseWorld {
-                nodes: 40,
-                span_days: 8.0,
-                mean_interval_secs: 7200.0,
-                rate_shape: 1.5,
-                world_seed: 17,
-            },
-            caching_nodes: 8,
-            refresh_hours: 12.0,
-            cdf_max_k: 12,
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (the planner
     /// guarantees a pairwise world for `delay-validation`).
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
         let world = match &plan.spec.world {
             WorldSpec::Pairwise(w) => w.clone(),
-            _ => Params::legacy().world,
+            _ => WORLD,
         };
         Params {
             world,
@@ -62,19 +55,10 @@ impl Params {
     }
 }
 
-/// Runs E2 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E2 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E2: prints the simulated vs analytical refresh-delay CDF series
 /// and a per-node freshness comparison table.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E2", "analysis vs simulation (validation figure)");
 
     // Pairwise-exponential trace: the analytical assumption holds by

@@ -8,7 +8,7 @@ use omn_sim::RngFactory;
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, per_seed, Table};
+use crate::{banner, fmt_ci, per_seed, Table};
 
 const CACHING_NODES: [usize; 5] = [4, 8, 16, 24, 32];
 const SCHEMES: [SchemeChoice; 3] = [
@@ -31,17 +31,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            caching_nodes: CACHING_NODES.to_vec(),
-            schemes: SCHEMES.to_vec(),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -54,21 +43,12 @@ impl Params {
     }
 }
 
-/// Runs E7 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E7 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E7: mean and p95 refresh delay (hours) and mean freshness vs
 /// caching-set size, with the *oracle* delay bound — the minimum any
 /// dissemination scheme could achieve on the same trace, from
 /// time-respecting path analysis — as the reference row.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E7", "scalability with caching nodes");
     let preset = params.preset;
     println!("trace: {preset}\n");

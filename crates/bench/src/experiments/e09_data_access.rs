@@ -13,7 +13,7 @@ use omn_sim::{RngFactory, SimDuration};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, fmt_ci_count, per_seed, Table};
+use crate::{banner, fmt_ci, fmt_ci_count, per_seed, Table};
 
 const SCHEMES: [SchemeChoice; 4] = [
     SchemeChoice::Hierarchical,
@@ -42,20 +42,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            schemes: SCHEMES.to_vec(),
-            catalog: 6,
-            load: 400,
-            loss: 0.2,
-            churn: 0.25,
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -117,21 +103,12 @@ fn caching_run(
     (report, catalog, queries)
 }
 
-/// Runs E9 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E9 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E9: the caching layer computes per-item caching sets and raw
 /// access success; each freshness scheme then maintains those sets, and
 /// the fresh-access ratio is reported per scheme, averaged over items and
 /// seeds. A final table sweeps the caching layer over loss and churn.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E9", "data-access validity (caching + freshness stack)");
     let preset = params.preset;
     println!("trace: {preset}\n");

@@ -14,7 +14,7 @@ use omn_sim::{RngFactory, SimDuration};
 
 use crate::experiments::trace_for;
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, per_seed, Table};
+use crate::{banner, fmt_ci, per_seed, Table};
 
 /// Parameters of E10: the unicast workload and the fault columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,18 +32,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            presets: TracePreset::ALL.to_vec(),
-            messages: 200,
-            loss: 0.2,
-            churn: 0.25,
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -76,20 +64,11 @@ fn churn_faults(churn: f64) -> FaultConfig {
     }
 }
 
-/// Runs E10 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E10 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E10: delivery ratio, mean delay and overhead ratio for each
 /// protocol on each trace, plus delivery under transmission loss and node
 /// churn.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E10", "routing baselines (substrate sanity)");
     let seeds = &params.seeds;
     for &preset in &params.presets {

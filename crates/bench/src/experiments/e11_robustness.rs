@@ -27,7 +27,7 @@ use omn_sim::{RngFactory, SimDuration, SimTime};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, per_seed, window_mean, Table};
+use crate::{banner, fmt_ci, per_seed, window_mean, Table};
 
 const DEPART_FRACTIONS: [f64; 4] = [0.0, 0.1, 0.2, 0.4];
 
@@ -43,16 +43,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            depart_fractions: DEPART_FRACTIONS.to_vec(),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -120,21 +110,12 @@ fn maintained_scheme(
     })
 }
 
-/// Runs E11 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E11 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E11: post-failure freshness (second half of the trace) per
 /// departure fraction for the statically planned hierarchy, the maintained
 /// hierarchy, the failure-aware maintained hierarchy, and epidemic
 /// refreshing.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E11", "robustness to node departures (extension)");
     let preset = params.preset;
     println!("trace: {preset}; departures at half-span (fault-injected)\n");

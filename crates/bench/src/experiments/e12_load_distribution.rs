@@ -10,7 +10,7 @@ use omn_sim::RngFactory;
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, per_seed, Table};
+use crate::{banner, fmt_ci, per_seed, Table};
 
 const SCHEMES: [SchemeChoice; 4] = [
     SchemeChoice::Hierarchical,
@@ -34,17 +34,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            schemes: SCHEMES.to_vec(),
-            caching_nodes: 16,
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -57,19 +46,10 @@ impl Params {
     }
 }
 
-/// Runs E12 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E12 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E12: reports the source's share of refresh transmissions, the
 /// busiest node's share, and the absolute per-version load on the source.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E12", "refresh-load distribution");
     let preset = params.preset;
     println!("trace: {preset}, {} caching nodes\n", params.caching_nodes);

@@ -23,7 +23,7 @@ use omn_sim::{RngFactory, SimDuration};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::{CampaignPlan, RetrySpec};
-use crate::{active_seeds, banner, fmt_ci, fmt_ci_count, per_seed, Table};
+use crate::{banner, fmt_ci, fmt_ci_count, per_seed, Table};
 
 const LOSS_RATES: [f64; 4] = [0.0, 0.1, 0.2, 0.4];
 const CHURN_FRACTIONS: [f64; 3] = [0.0, 0.25, 0.5];
@@ -45,18 +45,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            loss_rates: LOSS_RATES.to_vec(),
-            churn_fractions: CHURN_FRACTIONS.to_vec(),
-            retry: RetrySpec::Fixed(3),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -232,18 +220,9 @@ fn churn_sweep(params: &Params) {
     );
 }
 
-/// Runs E13 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E13 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E13: the loss sweep, then the churn sweep.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E13", "fault tolerance: loss and churn (extension)");
     let preset = params.preset;
     println!("trace: {preset}; faults injected via seeded FaultPlan\n");

@@ -21,7 +21,7 @@ use omn_sim::{RngFactory, SimDuration};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, fmt_ci_count, per_seed, Table};
+use crate::{banner, fmt_ci, fmt_ci_count, per_seed, Table};
 
 /// Query loads of the sweep. The zipf workload draws sequentially, so each
 /// load's queries are a prefix of the next: raising the load only *adds*
@@ -57,36 +57,17 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            budget: BUDGET,
-            loads: LOADS.to_vec(),
-            priorities: PRIORITIES.to_vec(),
-            catalog: 6,
-            query_deadline_h: 12.0,
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (the planner
     /// guarantees a [contention] section with loads and priorities).
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
-        let legacy = Params::legacy();
         let (budget, loads, priorities) = match plan.contention() {
             Some(c) => (
                 c.budget.unwrap_or(BUDGET),
                 c.loads.clone(),
                 c.priorities.clone(),
             ),
-            None => (
-                legacy.budget,
-                legacy.loads.clone(),
-                legacy.priorities.clone(),
-            ),
+            None => (BUDGET, LOADS.to_vec(), PRIORITIES.to_vec()),
         };
         Params {
             preset: plan.preset_one(),
@@ -158,20 +139,11 @@ pub fn joint_run(
     joint_run_with(preset, seed, load, budget, priority, 6, 12.0)
 }
 
-/// Runs E14 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E14 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E14: an unlimited-budget reference row, then the query-load sweep
 /// under the tight budget for each contention priority, averaged over
 /// seeds.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E14", "joint world: contact-capacity contention");
     let preset = params.preset;
     let budget = params.budget;

@@ -27,10 +27,7 @@ use omn_core::sim::{
 use omn_sim::{RngFactory, SimDuration, SimTime};
 
 use crate::scenario::CampaignPlan;
-use crate::{
-    active_nodes, active_seeds, active_threads, active_window_mins, banner, fmt_ci, per_seed,
-    wall_hidden, Table,
-};
+use crate::{banner, fmt_ci, per_seed, Table};
 
 /// The default node-count sweep (`--nodes` overrides it). Roughly
 /// half-decade steps from 10² to 10⁵.
@@ -70,20 +67,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            nodes: active_nodes(&NODE_COUNTS),
-            schemes: SCHEMES.to_vec(),
-            seeds: active_seeds(),
-            threads: active_threads(),
-            window_mins: active_window_mins(),
-            show_wall: !wall_hidden(),
-            headline_nodes: HEADLINE_NODES,
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -219,27 +202,22 @@ pub fn run_point_with(
     }
 }
 
-/// Runs E15 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E15 as described by a compiled scenario plan (`--headline`
-/// selects the single large point instead of the sweep).
-pub fn run_plan(plan: &CampaignPlan) {
+/// Runs E15 as described by a compiled scenario plan: the node-count
+/// sweep, or the single large point when the plan asks for the headline
+/// (`--headline`).
+pub fn run(plan: &CampaignPlan) {
     let params = Params::from_plan(plan);
     if plan.headline {
-        run_headline_with(&params);
+        headline(&params);
     } else {
-        run_with(&params);
+        sweep(&params);
     }
 }
 
-/// Runs E15: node-count sweep of the streaming pipeline, reporting
-/// freshness, refresh overhead, stream volume, peak residency, and
-/// wall-clock per point (`--no-wall` hides the wall column for
-/// byte-for-byte diffing).
-pub fn run_with(params: &Params) {
+/// The node-count sweep of the streaming pipeline, reporting freshness,
+/// refresh overhead, stream volume, peak residency, and wall-clock per
+/// point (`--no-wall` hides the wall column for byte-for-byte diffing).
+fn sweep(params: &Params) {
     banner("E15", "scalability with network size (streaming pipeline)");
     let threads = params.threads;
     let pipeline = if threads == 0 {
@@ -319,16 +297,11 @@ pub fn run_with(params: &Params) {
     );
 }
 
-/// Runs the `--headline` point with the legacy parameters.
-pub fn run_headline() {
-    run_headline_with(&Params::legacy());
-}
-
-/// Runs the `--headline` point: 10⁶ nodes, one simulated hour, one seed,
-/// the hierarchical scheme, on the parallel pipeline (at least one
-/// generator thread — the headline exists to exercise the sharded
-/// engine at full scale).
-pub fn run_headline_with(params: &Params) {
+/// The `--headline` point: 10⁶ nodes, one simulated hour, one seed, the
+/// hierarchical scheme, on the parallel pipeline (at least one generator
+/// thread — the headline exists to exercise the sharded engine at full
+/// scale).
+fn headline(params: &Params) {
     banner(
         "E15",
         "headline: one million nodes (window-barrier pipeline)",

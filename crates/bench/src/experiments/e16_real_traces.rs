@@ -29,7 +29,7 @@ use omn_traces::{
 
 use crate::experiments::default_config;
 use crate::scenario::{CampaignPlan, WorldSpec};
-use crate::{active_seeds, active_trace, banner, fmt_ci, per_seed, Table, TraceOverride, SEEDS};
+use crate::{banner, fmt_ci, per_seed, Table, TraceOverride, SEEDS};
 
 /// The schemes compared on every ingested trace.
 pub const SCHEMES: [SchemeChoice; 2] = [SchemeChoice::Hierarchical, SchemeChoice::Epidemic];
@@ -44,15 +44,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            trace: active_trace(),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (a `[world]` of
     /// `kind = trace` selects one dataset file; `kind = registry` runs
     /// the built-in registry).
@@ -154,20 +145,10 @@ pub fn resolve_format(path: &Path, name: Option<&str>) -> Result<TraceFormat, St
     }
 }
 
-/// Runs E16 with the legacy parameters (registry datasets by default, or
-/// the `--trace` override).
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E16 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E16: the one `--trace`/spec-selected dataset, or every registry
 /// dataset.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E16", "real traces: ingestion, calibration, freshness");
     match &params.trace {
         Some(over) => run_override(over, &params.seeds),

@@ -34,7 +34,7 @@ use omn_sim::{OracleMode, OracleReport, RngFactory, SimDuration};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::{CampaignPlan, FaultRung, RetrySpec};
-use crate::{active_seeds, banner, fmt_ci, fmt_ci_count, per_seed, Table};
+use crate::{banner, fmt_ci, fmt_ci_count, per_seed, Table};
 
 /// The default chaos ladder, fault-free to extreme. The zero rung
 /// configures no fault at all (the plan is inert), so it doubles as the
@@ -72,20 +72,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            ladder: default_ladder(),
-            retry: RetrySpec::Exponential {
-                attempts: 3,
-                base_hours: 1.0,
-            },
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (an empty
     /// `[faults]` section falls back to the default ladder).
     #[must_use]
@@ -170,16 +156,6 @@ pub fn chaos_run(preset: TracePreset, seed: u64, rung: &FaultRung) -> FreshnessR
     )
 }
 
-/// Runs E17 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E17 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E17 on the conference trace: the chaos-intensity ladder, with the
 /// degradation-envelope assertions (monotone freshness decline over the
 /// seed means, zero invariant violations anywhere).
@@ -188,7 +164,8 @@ pub fn run_plan(plan: &CampaignPlan) {
 ///
 /// Panics if any run records an invariant violation, or if the seed-mean
 /// freshness ever *rises* from one rung to the next.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E17", "chaos campaign: degradation envelope (extension)");
     let preset = params.preset;
     println!(

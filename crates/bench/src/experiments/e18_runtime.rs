@@ -37,14 +37,25 @@ use omn_sim::{OracleMode, RngFactory, SimDuration};
 
 use crate::experiments::e15_scalability::scale_config;
 use crate::scenario::{CampaignPlan, PairwiseWorld, RunLeg, WorldSpec};
-use crate::{active_nodes, active_seeds, banner, Table};
+use crate::{banner, Table};
 
 /// Node counts for the firehose throughput sweep (`--nodes` overrides).
 pub const THROUGHPUT_NODES: [usize; 3] = [1000, 3162, 10_000];
 
 /// Cross-validation world: pairwise-exponential, comfortably larger than
-/// the tier-1 test world but still seconds per point in lockstep.
-const WORLD_NODES: usize = 32;
+/// the tier-1 test world but still seconds per point in lockstep. Shape
+/// and mean interval are the `PairwiseConfig::new` defaults (0.8, 6 h);
+/// `specs/e18.scn` commits the same world.
+const WORLD: PairwiseWorld = PairwiseWorld {
+    nodes: 32,
+    span_days: 2.0,
+    mean_interval_secs: 21_600.0,
+    rate_shape: 0.8,
+    world_seed: 0,
+};
+
+/// Both legs, lockstep cross-validation first.
+const LEGS: [RunLeg; 2] = [RunLeg::Lockstep, RunLeg::Firehose];
 
 /// Parameters of E18: the cross-validation world and the two legs.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,38 +73,17 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            // PairwiseConfig::new defaults: shape 0.8, 6-hour mean
-            // interval. The spec must carry the same values to stay
-            // bit-identical.
-            world: PairwiseWorld {
-                nodes: WORLD_NODES,
-                span_days: 2.0,
-                mean_interval_secs: 21_600.0,
-                rate_shape: 0.8,
-                world_seed: 0,
-            },
-            legs: vec![RunLeg::Lockstep, RunLeg::Firehose],
-            nodes: active_nodes(&THROUGHPUT_NODES),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (the planner
     /// guarantees a pairwise world for `runtime`).
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
-        let legacy = Params::legacy();
         let world = match &plan.spec.world {
             WorldSpec::Pairwise(w) => w.clone(),
-            _ => legacy.world,
+            _ => WORLD,
         };
         Params {
             world,
-            legs: plan.legs_or(&legacy.legs),
+            legs: plan.legs_or(&LEGS),
             nodes: plan.axis_usize_or("nodes", &THROUGHPUT_NODES),
             seeds: plan.seeds().to_vec(),
         }
@@ -142,10 +132,10 @@ pub struct CrossPoint {
     pub rt: RuntimeReport,
 }
 
-/// Runs one cross-validation point on the legacy world.
+/// Runs one cross-validation point on the default world.
 #[must_use]
 pub fn cross_point(seed: u64, mode: ProtocolMode) -> CrossPoint {
-    cross_point_in(&Params::legacy().world, seed, mode)
+    cross_point_in(&WORLD, seed, mode)
 }
 
 /// Runs one cross-validation point. For [`ProtocolMode::HierTree`] the
@@ -259,17 +249,6 @@ pub fn throughput_point(nodes: usize, seed: u64) -> FirehoseReport {
     )
 }
 
-/// Runs E18 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E18 as described by a compiled scenario plan (`[run] legs`
-/// selects which of the lockstep / firehose legs execute).
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E18: the lockstep cross-validation over the active seeds for both
 /// locally-decidable protocol modes, then the firehose throughput sweep —
 /// each leg gated by `params.legs`.
@@ -279,7 +258,8 @@ pub fn run_plan(plan: &CampaignPlan) {
 /// Panics if any cross-validation point diverges from the DES in any
 /// pinned observable, if either side records an invariant violation, or
 /// if the firehose runs drop or fail to decode any wire frame.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner(
         "E18",
         "async node runtime: DES cross-validation + throughput (extension)",

@@ -10,7 +10,7 @@
 //! The infinite rung (the `0` sentinel) must reproduce the slot-counting
 //! E14 numbers bit-for-bit: an unlimited link attaches no byte capacity,
 //! so nothing is ever denied, the queues stay empty, and no extra
-//! randomness is drawn. `run_with` asserts that identity on every seed.
+//! randomness is drawn. `run` asserts that identity on every seed.
 //!
 //! The second table compares LRU placement against the EWMA
 //! decayed-popularity baseline across the same ladder: adaptive placement
@@ -27,7 +27,7 @@ use omn_sim::{LinkConfig, RngFactory, SimDuration};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, fmt_ci_count, per_seed, Table};
+use crate::{banner, fmt_ci, fmt_ci_count, per_seed, Table};
 
 /// The bandwidth ladder, bytes/second; `0` is the unlimited sentinel.
 /// Tuned so the bottom rung starves both layers, the middle rungs bite,
@@ -83,48 +83,23 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            budget: BUDGET,
-            load: LOAD,
-            bandwidths: BANDWIDTHS.to_vec(),
-            refresh_bytes: REFRESH_BYTES,
-            queue_depth: QUEUE_DEPTH,
-            policy_capacity: POLICY_CAPACITY,
-            catalog: 6,
-            query_deadline_h: 12.0,
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (the planner
     /// guarantees a [link] section with a bandwidth ladder).
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
-        let legacy = Params::legacy();
         let (bandwidths, refresh_bytes, queue_depth) = match plan.link() {
             Some(l) => (
                 l.bandwidth.clone(),
-                l.refresh_bytes.unwrap_or(legacy.refresh_bytes),
-                l.queue_depth.unwrap_or(legacy.queue_depth),
+                l.refresh_bytes.unwrap_or(REFRESH_BYTES),
+                l.queue_depth.unwrap_or(QUEUE_DEPTH),
             ),
-            None => (
-                legacy.bandwidths.clone(),
-                legacy.refresh_bytes,
-                legacy.queue_depth,
-            ),
+            None => (BANDWIDTHS.to_vec(), REFRESH_BYTES, QUEUE_DEPTH),
         };
-        let budget = plan
-            .contention()
-            .and_then(|c| c.budget)
-            .unwrap_or(legacy.budget);
+        let budget = plan.contention().and_then(|c| c.budget).unwrap_or(BUDGET);
         Params {
             preset: plan.preset_one(),
             budget,
-            load: plan.scalar_usize_or("load", legacy.load),
+            load: plan.scalar_usize_or("load", LOAD),
             bandwidths,
             refresh_bytes,
             queue_depth,
@@ -228,19 +203,10 @@ fn assert_slot_identity(with_link: &JointReport, slot_only: &JointReport, seed: 
     );
 }
 
-/// Runs E19 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
-}
-
-/// Runs E19 as described by a compiled scenario plan.
-pub fn run_plan(plan: &CampaignPlan) {
-    run_with(&Params::from_plan(plan));
-}
-
 /// Runs E19: the bandwidth ladder under LRU (with full link accounting),
 /// then LRU vs EWMA placement across the same ladder.
-pub fn run_with(params: &Params) {
+pub fn run(plan: &CampaignPlan) {
+    let params = &Params::from_plan(plan);
     banner("E19", "bandwidth-realistic links: the byte-budget ladder");
     let preset = params.preset;
     let budget = params.budget;

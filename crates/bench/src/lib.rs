@@ -2,8 +2,9 @@
 //!
 //! Each experiment (E1–E19; see DESIGN.md for the index) lives in
 //! [`experiments`] as a library function that prints the corresponding
-//! table or figure series to stdout, and has a thin binary wrapper in
-//! `src/bin/`. `run_all` executes the full campaign.
+//! table or figure series to stdout, and is described by a committed
+//! `specs/eNN.scn` scenario. `omn-scn run eNN` compiles and runs one of
+//! them; `run_all` runs every embedded spec.
 //!
 //! Results are averaged over several seeds with normal-approximation 95%
 //! confidence intervals, printed as `mean ± hw`. Seed replications run in
@@ -20,9 +21,8 @@ mod runner;
 pub mod scenario;
 
 pub use runner::{
-    active_nodes, active_seeds, active_threads, active_trace, active_window_mins, cli_init,
-    cli_init_from, headline_requested, overrides, per_seed, serial_requested, usage, wall_hidden,
-    CliOverrides, TraceOverride,
+    cli_init, cli_init_from, overrides, per_seed, serial_requested, usage, CliOverrides,
+    TraceOverride,
 };
 
 use omn_sim::stats::mean_ci95;

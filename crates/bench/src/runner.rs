@@ -12,16 +12,12 @@
 //! per process** (binaries call [`cli_init`], which rejects unknown flags
 //! and malformed values with a one-line error plus usage on exit code 2;
 //! library consumers such as tests and benches fall back to a lenient
-//! parse that ignores harness flags). The flags (honored by `run_all` and
-//! every `exp_*` binary):
+//! parse that ignores harness flags). The scenario planner folds every
+//! override into the compiled plan, so experiments read them from there.
+//! The flags (honored by `run_all` and `omn-scn`):
 //!
-//! * `--spec path` — compile and execute a scenario spec file instead of
-//!   the committed one embedded in the binary.
-//! * `--legacy` — run the hand-written experiment code path instead of
-//!   the scenario compiler (the CI spec-equivalence job byte-diffs the
-//!   two).
-//! * `--seeds 11,23,37` (or `--seeds=11,23,37`) — replace the default
-//!   [`SEEDS`] set.
+//! * `--seeds 11,23,37` (or `--seeds=11,23,37`) — replace the spec's seed
+//!   set (default [`SEEDS`](crate::SEEDS)).
 //! * `--nodes 100,1000` (or `--nodes=100,1000`) — replace the node-count
 //!   sweep of experiments that scale with network size (E15, E18).
 //! * `--trace path` (or `--trace=path`) — run the real-trace experiment
@@ -37,14 +33,12 @@
 //! * `--window-mins m` (or `--window-mins=m`) — barrier window of the
 //!   parallel pipeline in simulated minutes (default: span/64).
 //! * `--no-wall` — hide wall-clock columns so two runs can be
-//!   byte-for-byte diffed (the CI determinism and spec-equivalence jobs).
+//!   byte-for-byte diffed (the CI determinism job).
 //! * `--headline` — run the single large headline point instead of the
 //!   sweep (E15: 10⁶ nodes, one seed).
 
 use std::sync::OnceLock;
 use std::thread;
-
-use crate::SEEDS;
 
 /// Runs `f` once per seed — in parallel, one thread per seed — and returns
 /// the results in seed order.
@@ -92,12 +86,6 @@ pub struct TraceOverride {
 /// use the spec's (or the experiment's) value".
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CliOverrides {
-    /// `--spec path`: compile and execute this scenario file instead of
-    /// the spec embedded in the binary.
-    pub spec: Option<String>,
-    /// `--legacy`: run the hand-written experiment code path instead of
-    /// the scenario compiler.
-    pub legacy: bool,
     /// `--seeds a,b,c`: replacement seed set.
     pub seeds: Option<Vec<u64>>,
     /// `--nodes a,b,c`: replacement node-count sweep.
@@ -119,8 +107,8 @@ pub struct CliOverrides {
 /// One-line usage string printed with every flag error.
 #[must_use]
 pub fn usage() -> &'static str {
-    "usage: [--spec FILE] [--legacy] [--seeds A,B,C] [--nodes A,B,C] \
-     [--serial] [--threads N] [--window-mins M] [--no-wall] [--headline] \
+    "usage: [--seeds A,B,C] [--nodes A,B,C] [--serial] [--threads N] \
+     [--window-mins M] [--no-wall] [--headline] \
      [--trace FILE [--trace-format reality|haggle|omn-v1]]"
 }
 
@@ -156,11 +144,6 @@ impl CliOverrides {
                 }
             };
             let result: Result<(), String> = match flag.as_str() {
-                "--spec" => value("--spec").map(|v| over.spec = Some(v)),
-                "--legacy" => {
-                    over.legacy = true;
-                    Ok(())
-                }
                 "--seeds" => value("--seeds").and_then(|v| {
                     parse_list(&v, "--seeds").map(|list| {
                         if !list.is_empty() {
@@ -239,12 +222,6 @@ impl CliOverrides {
         }
         Ok(over)
     }
-
-    /// The resolved seed set: `--seeds` or the default [`SEEDS`].
-    #[must_use]
-    pub fn active_seeds(&self) -> Vec<u64> {
-        self.seeds.clone().unwrap_or_else(|| SEEDS.to_vec())
-    }
 }
 
 /// Parses a non-empty comma-separated list (empty input yields an empty
@@ -293,71 +270,16 @@ pub fn overrides() -> &'static CliOverrides {
     })
 }
 
-/// The seed set for this process: `--seeds a,b,c` from the command line,
-/// or the default [`SEEDS`].
-#[must_use]
-pub fn active_seeds() -> Vec<u64> {
-    overrides().active_seeds()
-}
-
-/// The node-count sweep for this process: `--nodes a,b,c` from the command
-/// line, or the experiment's `default` sweep.
-#[must_use]
-pub fn active_nodes(default: &[usize]) -> Vec<usize> {
-    overrides()
-        .nodes
-        .clone()
-        .unwrap_or_else(|| default.to_vec())
-}
-
 /// Whether `--serial` is on the command line.
 #[must_use]
 pub fn serial_requested() -> bool {
     overrides().serial
 }
 
-/// The merge-thread count for experiments with a parallel contact
-/// pipeline (E15): `--threads n`. 0 — the default — runs the classic
-/// serial source; `n ≥ 1` runs the window-barrier parallel source on `n`
-/// generator threads (bit-identical output either way).
-#[must_use]
-pub fn active_threads() -> usize {
-    overrides().threads.unwrap_or(0)
-}
-
-/// The barrier-window override for the parallel contact pipeline:
-/// `--window-mins m` (simulated minutes). `None` uses the source's
-/// default window; the choice batches differently but never changes the
-/// merged stream.
-#[must_use]
-pub fn active_window_mins() -> Option<f64> {
-    overrides().window_mins
-}
-
-/// Whether `--no-wall` is on the command line: hide wall-clock columns so
-/// two runs of the same sweep can be byte-for-byte diffed (the CI
-/// determinism job).
-#[must_use]
-pub fn wall_hidden() -> bool {
-    overrides().no_wall
-}
-
-/// Whether `--headline` is on the command line: run the single large
-/// headline point instead of the sweep.
-#[must_use]
-pub fn headline_requested() -> bool {
-    overrides().headline
-}
-
-/// The `--trace` / `--trace-format` override for this process, if any.
-#[must_use]
-pub fn active_trace() -> Option<TraceOverride> {
-    overrides().trace.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SEEDS;
 
     fn strict(list: &[&str]) -> Result<CliOverrides, String> {
         CliOverrides::parse(list.iter().map(|s| (*s).to_owned()), true)
@@ -367,10 +289,18 @@ mod tests {
         strict(list).expect("valid flags")
     }
 
+    /// The seed set a spec without a `seeds` line resolves to.
+    fn resolved_seeds(over: &CliOverrides) -> Vec<u64> {
+        let text = crate::scenario::embedded("e06").expect("embedded spec");
+        crate::scenario::compile_str(text, over)
+            .expect("compiles")
+            .seeds
+    }
+
     #[test]
     fn default_seeds_without_flag() {
-        assert_eq!(ok(&[]).active_seeds(), SEEDS.to_vec());
-        assert_eq!(ok(&["--serial"]).active_seeds(), SEEDS.to_vec());
+        assert_eq!(resolved_seeds(&ok(&[])), SEEDS.to_vec());
+        assert_eq!(resolved_seeds(&ok(&["--serial"])), SEEDS.to_vec());
     }
 
     #[test]
@@ -382,7 +312,7 @@ mod tests {
 
     #[test]
     fn empty_seed_list_falls_back_to_default() {
-        assert_eq!(ok(&["--seeds="]).active_seeds(), SEEDS.to_vec());
+        assert_eq!(resolved_seeds(&ok(&["--seeds="])), SEEDS.to_vec());
     }
 
     #[test]
@@ -500,13 +430,6 @@ mod tests {
         )
         .expect("lenient never fails");
         assert_eq!(over.seeds, Some(vec![1, 2]));
-    }
-
-    #[test]
-    fn spec_and_legacy_flags_parse() {
-        let over = ok(&["--spec", "specs/e03.scn", "--legacy"]);
-        assert_eq!(over.spec.as_deref(), Some("specs/e03.scn"));
-        assert!(over.legacy);
     }
 
     #[test]

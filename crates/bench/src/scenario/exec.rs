@@ -1,17 +1,15 @@
 //! The scenario executor: dispatches a compiled [`CampaignPlan`] to the
-//! experiment driver of its campaign kind, and hosts the shared binary
-//! entry point ([`spec_main`]) every `exp_*` wrapper uses.
-
-use std::process::exit;
+//! experiment driver of its campaign kind.
 
 use crate::experiments as e;
-use crate::runner::{cli_init, CliOverrides};
+use crate::runner::CliOverrides;
 
 use super::plan::{compile, CampaignPlan};
 use super::spec::{parse, CampaignKind, ScenarioError};
 
-/// Every committed spec, embedded so the `exp_*` binaries run their
-/// scenario without touching the filesystem (`--spec FILE` overrides).
+/// Every committed spec, embedded so `omn-scn run eNN` and `run_all` run
+/// a scenario without touching the filesystem. `run_all` walks this list
+/// in order.
 pub const EMBEDDED: &[(&str, &str)] = &[
     ("e01", include_str!("../../../../specs/e01.scn")),
     ("e02", include_str!("../../../../specs/e02.scn")),
@@ -55,72 +53,24 @@ pub fn compile_str(text: &str, overrides: &CliOverrides) -> Result<CampaignPlan,
 /// Runs a compiled plan on the experiment driver of its campaign kind.
 pub fn execute(plan: &CampaignPlan) {
     match plan.spec.campaign {
-        CampaignKind::TraceStats => e::e01_trace_stats::run_plan(plan),
-        CampaignKind::DelayValidation => e::e02_delay_validation::run_plan(plan),
-        CampaignKind::FreshnessTime => e::e03_freshness_time::run_plan(plan),
-        CampaignKind::FreshnessRequirement => e::e04_freshness_requirement::run_plan(plan),
-        CampaignKind::RefreshPeriod => e::e05_refresh_period::run_plan(plan),
-        CampaignKind::Overhead => e::e06_overhead::run_plan(plan),
-        CampaignKind::CachingNodes => e::e07_caching_nodes::run_plan(plan),
-        CampaignKind::Ablation => e::e08_ablation::run_plan(plan),
-        CampaignKind::DataAccess => e::e09_data_access::run_plan(plan),
-        CampaignKind::RoutingBaselines => e::e10_routing_baselines::run_plan(plan),
-        CampaignKind::Robustness => e::e11_robustness::run_plan(plan),
-        CampaignKind::LoadDistribution => e::e12_load_distribution::run_plan(plan),
-        CampaignKind::FaultTolerance => e::e13_fault_tolerance::run_plan(plan),
-        CampaignKind::JointWorld => e::e14_joint_world::run_plan(plan),
-        CampaignKind::Scalability => e::e15_scalability::run_plan(plan),
-        CampaignKind::RealTraces => e::e16_real_traces::run_plan(plan),
-        CampaignKind::Chaos => e::e17_chaos::run_plan(plan),
-        CampaignKind::Runtime => e::e18_runtime::run_plan(plan),
-        CampaignKind::Bandwidth => e::e19_bandwidth::run_plan(plan),
-    }
-}
-
-/// Compiles and runs one scenario from a spec file on disk.
-///
-/// # Errors
-///
-/// Returns the diagnostic, prefixed with the file path, when the file is
-/// unreadable or the spec does not compile.
-pub fn run_file(path: &str, overrides: &CliOverrides) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|err| format!("{path}: {err}"))?;
-    let plan = compile_str(&text, overrides).map_err(|err| format!("{path}: {err}"))?;
-    execute(&plan);
-    Ok(())
-}
-
-/// The shared entry point of every `exp_*` binary: parse the command line
-/// strictly (exit 2 on bad flags), then either run `legacy` (the
-/// hand-written code path, selected by `--legacy`) or compile and execute
-/// the scenario — from `--spec FILE` when given, else the committed spec
-/// embedded under `id`.
-///
-/// # Panics
-///
-/// Panics if `id` names no embedded spec (a harness bug, not user error).
-pub fn spec_main(id: &str, legacy: fn()) {
-    let overrides = cli_init();
-    if overrides.legacy {
-        legacy();
-        return;
-    }
-    match &overrides.spec {
-        Some(path) => {
-            if let Err(msg) = run_file(path, overrides) {
-                eprintln!("error: {msg}");
-                exit(1);
-            }
-        }
-        None => {
-            let text = embedded(id).unwrap_or_else(|| panic!("no embedded spec `{id}`"));
-            match compile_str(text, overrides) {
-                Ok(plan) => execute(&plan),
-                Err(err) => {
-                    eprintln!("error: specs/{id}.scn: {err}");
-                    exit(1);
-                }
-            }
-        }
+        CampaignKind::TraceStats => e::e01_trace_stats::run(plan),
+        CampaignKind::DelayValidation => e::e02_delay_validation::run(plan),
+        CampaignKind::FreshnessTime => e::e03_freshness_time::run(plan),
+        CampaignKind::FreshnessRequirement => e::e04_freshness_requirement::run(plan),
+        CampaignKind::RefreshPeriod => e::e05_refresh_period::run(plan),
+        CampaignKind::Overhead => e::e06_overhead::run(plan),
+        CampaignKind::CachingNodes => e::e07_caching_nodes::run(plan),
+        CampaignKind::Ablation => e::e08_ablation::run(plan),
+        CampaignKind::DataAccess => e::e09_data_access::run(plan),
+        CampaignKind::RoutingBaselines => e::e10_routing_baselines::run(plan),
+        CampaignKind::Robustness => e::e11_robustness::run(plan),
+        CampaignKind::LoadDistribution => e::e12_load_distribution::run(plan),
+        CampaignKind::FaultTolerance => e::e13_fault_tolerance::run(plan),
+        CampaignKind::JointWorld => e::e14_joint_world::run(plan),
+        CampaignKind::Scalability => e::e15_scalability::run(plan),
+        CampaignKind::RealTraces => e::e16_real_traces::run(plan),
+        CampaignKind::Chaos => e::e17_chaos::run(plan),
+        CampaignKind::Runtime => e::e18_runtime::run(plan),
+        CampaignKind::Bandwidth => e::e19_bandwidth::run(plan),
     }
 }

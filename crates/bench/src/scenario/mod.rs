@@ -20,18 +20,18 @@
 //!    simulators (freshness / caching / joint / chaos / streaming) and
 //!    the [`per_seed`](crate::per_seed) runner off the plan.
 //!
-//! Every experiment's legacy constants and its committed spec are pinned
-//! equal by the `spec_equivalence` test suite, and the CI
-//! spec-equivalence job byte-diffs spec-driven and `--legacy` runs, so
-//! `exp_* ≡ omn-scn run specs/eNN.scn` holds bit-for-bit. A brand-new
-//! sweep — different seeds, axes, fault ladder, schemes — is a new spec
-//! file with zero new Rust.
+//! The specs are the only way to run an experiment: `omn-scn run eNN`
+//! and `run_all` both compile the committed spec and execute the plan.
+//! What each spec compiles to — plan summary and typed parameters — is
+//! pinned by the `plan_summaries` golden. A brand-new sweep — different
+//! seeds, axes, fault ladder, schemes — is a new spec file with zero new
+//! Rust.
 
 pub mod exec;
 pub mod plan;
 pub mod spec;
 
-pub use exec::{compile_str, embedded, execute, run_file, spec_main, EMBEDDED};
+pub use exec::{compile_str, embedded, execute, EMBEDDED};
 pub use plan::{compile, CampaignPlan, PlanPoint};
 pub use spec::{
     parse, CampaignKind, ContentionSpec, FaultRung, LinkSpec, MatrixAxis, OutputSpec,

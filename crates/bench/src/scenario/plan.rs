@@ -81,6 +81,19 @@ fn allowed_axes(kind: CampaignKind) -> &'static [&'static str] {
     }
 }
 
+/// The smallest value an integer axis takes in a campaign, with the reason
+/// it is the floor; `None` for a real-valued axis.
+fn integer_axis_min(kind: CampaignKind, key: &str) -> Option<(f64, &'static str)> {
+    match key {
+        "caching-nodes" => Some((1.0, "at least one caching node")),
+        "nodes" | "headline-nodes" if kind == CampaignKind::Scalability => {
+            Some((2.0, "the source plus one member"))
+        }
+        "nodes" => Some((1.0, "at least one node")),
+        _ => None,
+    }
+}
+
 fn plan_err(field: impl Into<String>, message: impl Into<String>) -> ScenarioError {
     ScenarioError {
         line: 0,
@@ -248,6 +261,28 @@ pub fn compile(
                     )
                 },
             ));
+        }
+    }
+
+    // Integer axes hold whole numbers at or above the campaign's floor;
+    // below it the simulators have no network to run (this also covers
+    // `--nodes`, which was folded into the matrix above).
+    for axis in &spec.matrix {
+        let Some((min, why)) = integer_axis_min(spec.campaign, &axis.key) else {
+            continue;
+        };
+        for &v in &axis.values {
+            let message = if v.fract() != 0.0 {
+                format!("`{}` takes whole numbers, got {v}", axis.key)
+            } else if v < min {
+                format!(
+                    "campaign `{}` needs `{}` ≥ {min} ({why}), got {v}",
+                    spec.campaign, axis.key
+                )
+            } else {
+                continue;
+            };
+            return Err(plan_err(format!("[matrix] {}", axis.key), message));
         }
     }
 

@@ -269,6 +269,111 @@ fn cli_seed_override_beats_the_spec() {
     assert_eq!(plan.seeds(), &[7, 9]);
 }
 
+// --- integer axes: whole numbers at or above the campaign's floor -----
+
+/// Compiles an embedded spec under `overrides`, after replacing the line
+/// that sets `key` (if `swap` is `Some((key, line))`) with `line`.
+fn compile_embedded(
+    id: &str,
+    swap: Option<(&str, &str)>,
+    overrides: &CliOverrides,
+) -> Result<omn_bench::scenario::CampaignPlan, ScenarioError> {
+    let mut text = omn_bench::scenario::embedded(id)
+        .expect("embedded spec")
+        .to_owned();
+    if let Some((key, line)) = swap {
+        let old = text
+            .lines()
+            .find(|l| l.starts_with(&format!("{key} =")))
+            .expect("spec has the axis")
+            .to_owned();
+        text = text.replace(&old, line);
+    }
+    compile(&parse(&text).expect("parses"), overrides)
+}
+
+fn nodes(list: &[usize]) -> CliOverrides {
+    CliOverrides {
+        nodes: Some(list.to_vec()),
+        ..CliOverrides::default()
+    }
+}
+
+#[test]
+fn scalability_rejects_zero_nodes_from_cli() {
+    let err = compile_embedded("e15", None, &nodes(&[0])).expect_err("rejected");
+    assert_eq!(err.field, "[matrix] nodes");
+    assert!(err.message.contains("needs `nodes` ≥ 2"), "{err}");
+    assert!(err.message.contains("got 0"), "{err}");
+}
+
+#[test]
+fn scalability_rejects_a_source_without_members() {
+    let err = compile_embedded("e15", None, &nodes(&[100, 1])).expect_err("rejected");
+    assert_eq!(err.field, "[matrix] nodes");
+    assert!(err.message.contains("the source plus one member"), "{err}");
+    compile_embedded("e15", None, &nodes(&[2])).expect("two nodes compile");
+}
+
+#[test]
+fn scalability_rejects_a_one_node_headline() {
+    let err = compile_embedded(
+        "e15",
+        Some(("headline-nodes", "headline-nodes = 1")),
+        &CliOverrides::default(),
+    )
+    .expect_err("rejected");
+    assert_eq!(err.field, "[matrix] headline-nodes");
+    assert!(err.message.contains("≥ 2"), "{err}");
+}
+
+#[test]
+fn runtime_rejects_zero_nodes_from_cli() {
+    let err = compile_embedded("e18", None, &nodes(&[0])).expect_err("rejected");
+    assert_eq!(err.field, "[matrix] nodes");
+    assert!(
+        err.message.contains("campaign `runtime` needs `nodes` ≥ 1"),
+        "{err}"
+    );
+}
+
+#[test]
+fn zero_caching_nodes_are_rejected() {
+    for id in ["e02", "e07", "e12"] {
+        let err = compile_embedded(
+            id,
+            Some(("caching-nodes", "caching-nodes = 0")),
+            &CliOverrides::default(),
+        )
+        .expect_err("rejected");
+        assert_eq!(err.field, "[matrix] caching-nodes", "{id}");
+        assert!(
+            err.message.contains("at least one caching node"),
+            "{id}: {err}"
+        );
+    }
+}
+
+#[test]
+fn fractional_integer_axes_are_rejected() {
+    let err = compile_embedded(
+        "e07",
+        Some(("caching-nodes", "caching-nodes = 4, 2.5")),
+        &CliOverrides::default(),
+    )
+    .expect_err("rejected");
+    assert_eq!(err.field, "[matrix] caching-nodes");
+    assert!(err.message.contains("whole numbers, got 2.5"), "{err}");
+    let err = compile_embedded(
+        "e15",
+        Some(("nodes", "nodes = 100, 316.5")),
+        &CliOverrides::default(),
+    )
+    .expect_err("rejected");
+    assert_eq!(err.field, "[matrix] nodes");
+    assert!(err.message.contains("whole numbers, got 316.5"), "{err}");
+}
+
 // --- parse → render → parse round-trip ---------------------------------
 
 const CAMPAIGNS: [&str; 19] = [

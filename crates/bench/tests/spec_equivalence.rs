@@ -1,13 +1,10 @@
-//! Pins the committed scenario specs to the legacy hand-written
-//! campaigns: for every experiment, the `Params` compiled from
-//! `specs/eNN.scn` (under default CLI overrides) must equal the legacy
-//! constants — so `exp_eNN` and `omn-scn run specs/eNN.scn` describe the
-//! same campaign, and the byte-identity the CI spec-equivalence job
-//! checks is structural, not coincidental.
-//!
-//! The compiled plan summaries are additionally pinned as golden files
-//! (`tests/golden/plan_summaries.txt`); re-record after an intentional
-//! spec change with `OMN_BLESS_GOLDEN=1`.
+//! Pins what each committed scenario spec compiles to: the plan summary
+//! and the typed `Params` of every `specs/eNN.scn` (under default CLI
+//! overrides) are one golden file (`tests/golden/plan_summaries.txt`), so
+//! a spec or planner change that moves any campaign parameter shows up as
+//! a golden diff; re-record after an intentional change with
+//! `OMN_BLESS_GOLDEN=1`. The spec files on disk must also be exactly the
+//! ones embedded in the binaries, since `run_all` walks the embedded set.
 
 use std::path::PathBuf;
 
@@ -24,42 +21,6 @@ fn plan_for(id: &str) -> CampaignPlan {
     let spec = parse(text).unwrap_or_else(|err| panic!("specs/{id}.scn: {err}"));
     compile(&spec, &CliOverrides::default()).unwrap_or_else(|err| panic!("specs/{id}.scn: {err}"))
 }
-
-macro_rules! spec_matches_legacy {
-    ($test:ident, $id:literal, $module:ident) => {
-        #[test]
-        fn $test() {
-            let plan = plan_for($id);
-            assert_eq!(
-                e::$module::Params::from_plan(&plan),
-                e::$module::Params::legacy(),
-                "specs/{}.scn compiles to different parameters than the \
-                 legacy campaign",
-                $id
-            );
-        }
-    };
-}
-
-spec_matches_legacy!(e01_spec_matches_legacy, "e01", e01_trace_stats);
-spec_matches_legacy!(e02_spec_matches_legacy, "e02", e02_delay_validation);
-spec_matches_legacy!(e03_spec_matches_legacy, "e03", e03_freshness_time);
-spec_matches_legacy!(e04_spec_matches_legacy, "e04", e04_freshness_requirement);
-spec_matches_legacy!(e05_spec_matches_legacy, "e05", e05_refresh_period);
-spec_matches_legacy!(e06_spec_matches_legacy, "e06", e06_overhead);
-spec_matches_legacy!(e07_spec_matches_legacy, "e07", e07_caching_nodes);
-spec_matches_legacy!(e08_spec_matches_legacy, "e08", e08_ablation);
-spec_matches_legacy!(e09_spec_matches_legacy, "e09", e09_data_access);
-spec_matches_legacy!(e10_spec_matches_legacy, "e10", e10_routing_baselines);
-spec_matches_legacy!(e11_spec_matches_legacy, "e11", e11_robustness);
-spec_matches_legacy!(e12_spec_matches_legacy, "e12", e12_load_distribution);
-spec_matches_legacy!(e13_spec_matches_legacy, "e13", e13_fault_tolerance);
-spec_matches_legacy!(e14_spec_matches_legacy, "e14", e14_joint_world);
-spec_matches_legacy!(e15_spec_matches_legacy, "e15", e15_scalability);
-spec_matches_legacy!(e16_spec_matches_legacy, "e16", e16_real_traces);
-spec_matches_legacy!(e17_spec_matches_legacy, "e17", e17_chaos);
-spec_matches_legacy!(e18_spec_matches_legacy, "e18", e18_runtime);
-spec_matches_legacy!(e19_spec_matches_legacy, "e19", e19_bandwidth);
 
 /// CLI overrides thread through the plan into every experiment's params.
 #[test]
@@ -85,13 +46,47 @@ fn overrides_reach_params_through_the_plan() {
     assert!(!params.show_wall);
 }
 
-/// The deterministic plan summaries of every committed spec, pinned as
-/// one golden file.
+/// The `Debug` rendering of the typed parameters a plan compiles to.
+fn params_debug(plan: &CampaignPlan) -> String {
+    use omn_bench::scenario::CampaignKind as K;
+    match plan.spec.campaign {
+        K::TraceStats => format!("{:?}", e::e01_trace_stats::Params::from_plan(plan)),
+        K::DelayValidation => format!("{:?}", e::e02_delay_validation::Params::from_plan(plan)),
+        K::FreshnessTime => format!("{:?}", e::e03_freshness_time::Params::from_plan(plan)),
+        K::FreshnessRequirement => {
+            format!(
+                "{:?}",
+                e::e04_freshness_requirement::Params::from_plan(plan)
+            )
+        }
+        K::RefreshPeriod => format!("{:?}", e::e05_refresh_period::Params::from_plan(plan)),
+        K::Overhead => format!("{:?}", e::e06_overhead::Params::from_plan(plan)),
+        K::CachingNodes => format!("{:?}", e::e07_caching_nodes::Params::from_plan(plan)),
+        K::Ablation => format!("{:?}", e::e08_ablation::Params::from_plan(plan)),
+        K::DataAccess => format!("{:?}", e::e09_data_access::Params::from_plan(plan)),
+        K::RoutingBaselines => format!("{:?}", e::e10_routing_baselines::Params::from_plan(plan)),
+        K::Robustness => format!("{:?}", e::e11_robustness::Params::from_plan(plan)),
+        K::LoadDistribution => format!("{:?}", e::e12_load_distribution::Params::from_plan(plan)),
+        K::FaultTolerance => format!("{:?}", e::e13_fault_tolerance::Params::from_plan(plan)),
+        K::JointWorld => format!("{:?}", e::e14_joint_world::Params::from_plan(plan)),
+        K::Scalability => format!("{:?}", e::e15_scalability::Params::from_plan(plan)),
+        K::RealTraces => format!("{:?}", e::e16_real_traces::Params::from_plan(plan)),
+        K::Chaos => format!("{:?}", e::e17_chaos::Params::from_plan(plan)),
+        K::Runtime => format!("{:?}", e::e18_runtime::Params::from_plan(plan)),
+        K::Bandwidth => format!("{:?}", e::e19_bandwidth::Params::from_plan(plan)),
+    }
+}
+
+/// The deterministic plan summaries of every committed spec, each
+/// followed by the typed parameters it compiles to, pinned as one golden
+/// file.
 #[test]
 fn plan_summaries_golden() {
     let mut out = String::new();
     for (id, _) in EMBEDDED {
-        out.push_str(&plan_for(id).render_summary());
+        let plan = plan_for(id);
+        out.push_str(&plan.render_summary());
+        out.push_str(&format!("params: {}\n", params_debug(&plan)));
         out.push('\n');
     }
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/plan_summaries.txt");
@@ -114,5 +109,41 @@ fn plan_summaries_golden() {
             "note: golden file plan_summaries.txt not recorded yet \
              (OMN_BLESS_GOLDEN=1 to pin)"
         ),
+    }
+}
+
+/// `specs/*.scn` and the embedded spec set agree: the same names, the same
+/// bytes. A spec file missing from `EMBEDDED` would be skipped silently
+/// by `run_all`.
+#[test]
+fn specs_dir_matches_embedded() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let mut on_disk: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("specs/ is readable")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "scn"))
+        .map(|path| {
+            let stem = path
+                .file_stem()
+                .expect("stem")
+                .to_string_lossy()
+                .into_owned();
+            let text = std::fs::read_to_string(&path).expect("spec is readable");
+            (stem, text)
+        })
+        .collect();
+    on_disk.sort();
+    let mut embedded: Vec<(String, String)> = EMBEDDED
+        .iter()
+        .map(|&(name, text)| (name.to_owned(), text.to_owned()))
+        .collect();
+    embedded.sort();
+    let names = |set: &[(String, String)]| set.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&on_disk), names(&embedded), "spec names differ");
+    for ((name, disk), (_, text)) in on_disk.iter().zip(&embedded) {
+        assert!(
+            disk == text,
+            "specs/{name}.scn differs from its embedded text"
+        );
     }
 }

@@ -5,13 +5,9 @@ use std::fmt;
 use omn_contacts::{ContactTrace, NodeId};
 use omn_sim::{RngFactory, SimDuration};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a data item.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DataItemId(pub u32);
 
 impl DataItemId {
@@ -33,7 +29,7 @@ impl fmt::Display for DataItemId {
 /// The source refreshes the item every `refresh_period` (producing a new
 /// version); a cached copy older than `lifetime` is expired regardless of
 /// version (the paper's "subject to expiration").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataItem {
     id: DataItemId,
     source: NodeId,
@@ -101,7 +97,7 @@ impl DataItem {
 }
 
 /// A catalog of data items, indexed densely by [`DataItemId`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Catalog {
     items: Vec<DataItem>,
 }

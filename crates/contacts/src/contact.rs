@@ -3,16 +3,12 @@
 use std::fmt;
 
 use omn_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a mobile node.
 ///
 /// Node ids are dense indices `0..node_count`, which lets per-node state be
 /// stored in flat vectors throughout the workspace.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -60,7 +56,7 @@ impl std::error::Error for ContactError {}
 ///
 /// Invariants, enforced on construction: `a < b` (endpoints are normalized,
 /// contacts are undirected) and `start < end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Contact {
     a: NodeId,
     b: NodeId,

@@ -3,12 +3,11 @@
 use std::fmt;
 
 use omn_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::contact::{Contact, NodeId};
 
 /// What a [`TimelineEvent`] marks: a link coming up or going down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimelineKind {
     /// Two nodes came into range.
     Up,
@@ -18,7 +17,7 @@ pub enum TimelineKind {
 
 /// A point event on the trace timeline: one endpoint of some contact
 /// interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineEvent {
     /// When the event occurs.
     pub time: SimTime,
@@ -37,7 +36,7 @@ pub struct TimelineEvent {
 ///
 /// Build one with [`TraceBuilder`], a synthetic generator from
 /// [`crate::synth`], or [`crate::io::read_trace`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContactTrace {
     node_count: usize,
     span: SimTime,

@@ -4,13 +4,9 @@ use std::fmt;
 
 use omn_contacts::NodeId;
 use omn_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Unique identifier of a unicast message.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MessageId(pub u64);
 
 impl fmt::Display for MessageId {
@@ -20,7 +16,7 @@ impl fmt::Display for MessageId {
 }
 
 /// An immutable unicast message.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Message {
     id: MessageId,
     src: NodeId,

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Error returned when constructing a [`SimTime`] or [`SimDuration`] from an
 /// invalid floating-point value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,13 +43,11 @@ impl std::error::Error for TimeError {}
 /// let t = SimTime::from_secs(10.0) + SimDuration::from_secs(5.0);
 /// assert_eq!(t.as_secs(), 15.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 /// A span of simulated time, in seconds. Always finite and non-negative.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimDuration(f64);
 
 impl SimTime {
