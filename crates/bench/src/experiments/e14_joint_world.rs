@@ -58,7 +58,7 @@ pub struct Params {
 
 impl Params {
     /// The campaign a compiled scenario plan describes (the planner
-    /// guarantees a [contention] section with loads and priorities).
+    /// guarantees a `[contention]` section with loads and priorities).
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
         let (budget, loads, priorities) = match plan.contention() {

@@ -4,7 +4,8 @@
 //!
 //! Nothing in this sweep materializes the contact trace: the
 //! [`ShardedCommunitySource`] generates contacts shard-by-shard with
-//! O(shards) resident state, and the [`ContactDriver`] pulls them one
+//! O(shards) resident state, and the
+//! [`ContactDriver`](omn_contacts::ContactDriver) pulls them one
 //! event at a time, keeping only a bounded residency window. With
 //! `--threads n` the per-shard generators run on `n` OS threads behind
 //! window barriers ([`ParallelShardedSource`]) — the merged stream, and

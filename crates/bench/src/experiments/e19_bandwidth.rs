@@ -84,7 +84,7 @@ pub struct Params {
 
 impl Params {
     /// The campaign a compiled scenario plan describes (the planner
-    /// guarantees a [link] section with a bandwidth ladder).
+    /// guarantees a `[link]` section with a bandwidth ladder).
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
         let (bandwidths, refresh_bytes, queue_depth) = match plan.link() {

@@ -4,7 +4,7 @@
 //! pinned by (`[output] golden = …`); [`golden_name`] resolves that name
 //! from the committed spec, so the tests and the spec can never disagree
 //! about where a campaign's numbers live. Values are written with full
-//! bit patterns ([`line`]), compared by [`check_golden`], and
+//! bit patterns ([`line()`]), compared by [`check_golden`], and
 //! (re-)recorded with `OMN_BLESS_GOLDEN=1`; `OMN_REQUIRE_GOLDEN=1` (CI)
 //! turns a missing golden file into a hard failure.
 

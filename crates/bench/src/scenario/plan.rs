@@ -81,15 +81,61 @@ fn allowed_axes(kind: CampaignKind) -> &'static [&'static str] {
     }
 }
 
-/// The smallest value an integer axis takes in a campaign, with the reason
-/// it is the floor; `None` for a real-valued axis.
-fn integer_axis_min(kind: CampaignKind, key: &str) -> Option<(f64, &'static str)> {
-    match key {
-        "caching-nodes" => Some((1.0, "at least one caching node")),
+/// The values a matrix axis may take. The parser already guarantees every
+/// value is finite; the domain keeps out-of-range values from reaching a
+/// simulator constructor that would panic on them or silently coerce them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Domain {
+    /// A whole number at or above the floor, with the reason it is the
+    /// floor.
+    Count(f64, &'static str),
+    /// A duration in hours, strictly positive.
+    Hours,
+    /// A probability in the closed interval `[0, 1]`.
+    Fraction,
+    /// A probability in the open interval `(0, 1)`.
+    OpenProbability,
+}
+
+/// The domain of each matrix axis in a campaign; `None` only for keys no
+/// campaign accepts (rejected earlier by [`allowed_axes`]).
+fn axis_domain(kind: CampaignKind, key: &str) -> Option<Domain> {
+    Some(match key {
+        "q" => Domain::OpenProbability,
+        "period-h" | "refresh-hours" | "query-deadline-h" => Domain::Hours,
+        "loss" | "churn" | "departed" => Domain::Fraction,
+        "fanout" => Domain::Count(0.0, "0 = unbounded"),
+        "max-relays" => Domain::Count(0.0, "0 = no relays"),
+        "caching-nodes" => Domain::Count(1.0, "at least one caching node"),
         "nodes" | "headline-nodes" if kind == CampaignKind::Scalability => {
-            Some((2.0, "the source plus one member"))
+            Domain::Count(2.0, "the source plus one member")
         }
-        "nodes" => Some((1.0, "at least one node")),
+        "nodes" => Domain::Count(1.0, "at least one node"),
+        "points" => Domain::Count(1.0, "at least one timeline row"),
+        "catalog" => Domain::Count(1.0, "at least one data item"),
+        "messages" => Domain::Count(1.0, "at least one message"),
+        "load" => Domain::Count(1.0, "at least one query"),
+        "cdf-max-k" => Domain::Count(1.0, "at least one CDF row"),
+        _ => return None,
+    })
+}
+
+/// Why `v` lies outside `domain` on axis `key`, or `None` if it is inside.
+fn domain_violation(kind: CampaignKind, key: &str, domain: Domain, v: f64) -> Option<String> {
+    match domain {
+        Domain::Count(_, _) if v.fract() != 0.0 => {
+            Some(format!("`{key}` takes whole numbers, got {v}"))
+        }
+        Domain::Count(min, why) if v < min => Some(format!(
+            "campaign `{kind}` needs `{key}` ≥ {min} ({why}), got {v}"
+        )),
+        Domain::Hours if v <= 0.0 => Some(format!("`{key}` must be > 0 hours, got {v}")),
+        Domain::Fraction if !(0.0..=1.0).contains(&v) => {
+            Some(format!("`{key}` must be in [0, 1], got {v}"))
+        }
+        Domain::OpenProbability if v <= 0.0 || v >= 1.0 => {
+            Some(format!("`{key}` must be in (0, 1), got {v}"))
+        }
         _ => None,
     }
 }
@@ -264,25 +310,17 @@ pub fn compile(
         }
     }
 
-    // Integer axes hold whole numbers at or above the campaign's floor;
-    // below it the simulators have no network to run (this also covers
+    // Every axis value lies in its axis's domain; outside it the
+    // simulators would panic or coerce the value (this also covers
     // `--nodes`, which was folded into the matrix above).
     for axis in &spec.matrix {
-        let Some((min, why)) = integer_axis_min(spec.campaign, &axis.key) else {
+        let Some(domain) = axis_domain(spec.campaign, &axis.key) else {
             continue;
         };
         for &v in &axis.values {
-            let message = if v.fract() != 0.0 {
-                format!("`{}` takes whole numbers, got {v}", axis.key)
-            } else if v < min {
-                format!(
-                    "campaign `{}` needs `{}` ≥ {min} ({why}), got {v}",
-                    spec.campaign, axis.key
-                )
-            } else {
-                continue;
-            };
-            return Err(plan_err(format!("[matrix] {}", axis.key), message));
+            if let Some(message) = domain_violation(spec.campaign, &axis.key, domain, v) {
+                return Err(plan_err(format!("[matrix] {}", axis.key), message));
+            }
         }
     }
 
@@ -565,5 +603,19 @@ impl CampaignPlan {
             out.push_str("no-wall: true\n");
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_allowed_axis_has_a_domain() {
+        for kind in CampaignKind::ALL {
+            for key in allowed_axes(kind) {
+                assert!(axis_domain(kind, key).is_some(), "{kind}: `{key}`");
+            }
+        }
     }
 }

@@ -374,6 +374,101 @@ fn fractional_integer_axes_are_rejected() {
     assert!(err.message.contains("whole numbers, got 316.5"), "{err}");
 }
 
+// --- axis domains: out-of-range values are typed errors ----------------
+
+/// Asserts each `(spec, replacement line)` fails to compile with an error
+/// on the replaced axis whose message contains `expect`.
+fn assert_rejected(cases: &[(&str, &str)], expect: &str) {
+    for &(id, line) in cases {
+        let key = line.split(" =").next().expect("a key");
+        let err =
+            compile_embedded(id, Some((key, line)), &CliOverrides::default()).expect_err(line);
+        assert_eq!(err.field, format!("[matrix] {key}"), "{id}: {line}");
+        assert!(err.message.contains(expect), "{id}: {line}: {err}");
+    }
+}
+
+/// Asserts each `(spec, replacement line)` still compiles.
+fn assert_accepted(cases: &[(&str, &str)]) {
+    for &(id, line) in cases {
+        let key = line.split(" =").next().expect("a key");
+        compile_embedded(id, Some((key, line)), &CliOverrides::default())
+            .unwrap_or_else(|e| panic!("{id}: {line}: {e}"));
+    }
+}
+
+#[test]
+fn requirement_probability_excludes_its_endpoints() {
+    assert_rejected(
+        &[("e04", "q = 0"), ("e04", "q = 0.5, 1"), ("e04", "q = 1.5")],
+        "must be in (0, 1)",
+    );
+    assert_accepted(&[("e04", "q = 0.01, 0.99")]);
+}
+
+#[test]
+fn hour_axes_must_be_positive() {
+    assert_rejected(
+        &[
+            ("e05", "period-h = 0"),
+            ("e05", "period-h = 2, -4"),
+            ("e02", "refresh-hours = 0"),
+            ("e14", "query-deadline-h = -2"),
+            ("e19", "query-deadline-h = 0"),
+        ],
+        "must be > 0 hours",
+    );
+    assert_accepted(&[("e05", "period-h = 0.5"), ("e02", "refresh-hours = 0.25")]);
+}
+
+#[test]
+fn fraction_axes_stay_in_the_unit_interval() {
+    assert_rejected(
+        &[
+            ("e09", "loss = 2"),
+            ("e13", "loss = -0.5"),
+            ("e13", "churn = 0, 2"),
+            ("e10", "churn = -0.1"),
+            ("e11", "departed = 1.5"),
+        ],
+        "must be in [0, 1]",
+    );
+    assert_accepted(&[("e13", "loss = 0, 1"), ("e11", "departed = 0, 1")]);
+}
+
+#[test]
+fn count_axes_need_at_least_one() {
+    assert_rejected(
+        &[
+            ("e03", "points = 0"),
+            ("e09", "catalog = 0"),
+            ("e14", "catalog = 0"),
+            ("e10", "messages = 0"),
+            ("e09", "load = 0"),
+            ("e19", "load = 0"),
+            ("e02", "cdf-max-k = 0"),
+        ],
+        "≥ 1",
+    );
+    assert_rejected(
+        &[("e03", "points = 2.5"), ("e10", "messages = 1.5")],
+        "whole numbers",
+    );
+}
+
+#[test]
+fn zero_floor_count_axes_take_zero_but_no_negatives_or_fractions() {
+    assert_rejected(
+        &[("e08", "fanout = 1, -1"), ("e04", "max-relays = -3")],
+        "≥ 0",
+    );
+    assert_rejected(
+        &[("e08", "fanout = 2.5"), ("e04", "max-relays = 2.5")],
+        "whole numbers",
+    );
+    assert_accepted(&[("e08", "fanout = 0"), ("e04", "max-relays = 0")]);
+}
+
 // --- parse → render → parse round-trip ---------------------------------
 
 const CAMPAIGNS: [&str; 19] = [

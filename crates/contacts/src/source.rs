@@ -2,7 +2,7 @@
 //!
 //! A [`ContactSource`] yields contacts one at a time in nondecreasing
 //! `(start, end, pair)` order — the same total order a materialized
-//! [`ContactTrace`](crate::ContactTrace) stores its contacts in. The
+//! [`ContactTrace`] stores its contacts in. The
 //! [`ContactDriver`](crate::ContactDriver) pulls from a source lazily and
 //! schedules each contact as the engine runs, so only O(1) contacts are
 //! resident at once regardless of how many the source will ever produce.

@@ -1,7 +1,7 @@
 //! Sharded large-N community generation with O(shards) resident memory.
 //!
 //! The materializing generators ([`generate_pairwise`](super::generate_pairwise),
-//! [`generate_community`](super::generate_community)) iterate every node
+//! [`generate_community`](super::community::generate_community)) iterate every node
 //! pair and hold every contact in a `Vec` — O(n²) work and O(contacts)
 //! memory, which caps them at a few hundred nodes. This module scales the
 //! community model to 10⁴–10⁵ nodes by generating each community's contact
@@ -17,12 +17,12 @@
 //!   cross-shard contacts (a uniform node paired with a uniform node of a
 //!   different shard);
 //! * a binary heap keyed by `(start, end, pair)` — the
-//!   [`TraceBuilder`](crate::TraceBuilder) sort key — merges the streams,
+//!   [`TraceBuilder`] sort key — merges the streams,
 //!   so the streamed order equals the order a materialized-and-sorted
 //!   trace would have.
 //!
 //! Each shard draws from its own indexed
-//! [`RngFactory`](omn_sim::RngFactory) stream, so shard `s` produces the
+//! [`RngFactory`] stream, so shard `s` produces the
 //! same contacts no matter how many other shards exist or how far the
 //! merge has advanced.
 

@@ -36,17 +36,16 @@
 //!   distributions composed from the hop models, and predicted freshness
 //!   `1 − E[min(D, T)]/T`, validated against simulation (experiment E2).
 //!
-//! * **Sans-io protocol core** ([`protocol`]): the scheme and its
-//!   epidemic baseline as pure, transport- and clock-agnostic state
-//!   machines — an env-generic global formulation driven by the DES, and
-//!   a per-node [`protocol::NodeProtocol`] (`on_contact_up / on_message /
-//!   on_timer → Vec<Effect>`) that the async `omn-node` runtime
-//!   instantiates once per node.
+//! * **Schemes and baselines** ([`scheme`]): the paper's scheme
+//!   ([`scheme::HierarchicalScheme`]) and everything the evaluation
+//!   compares against — source-only refreshing, epidemic flooding of
+//!   updates, random hierarchies, and no refreshing at all — each one
+//!   [`scheme::RefreshScheme`] impl driven directly by the DES.
 //!
-//! * **Baselines** ([`scheme`]): source-only refreshing, epidemic flooding
-//!   of updates, random hierarchies, and no refreshing at all — everything
-//!   the evaluation compares against, behind one [`scheme::RefreshScheme`]
-//!   trait. The schemes are thin DES adapters over the [`protocol`] cores.
+//! * **Sans-io per-node protocol** ([`protocol`]): the tree and epidemic
+//!   modes as a per-node [`protocol::NodeProtocol`] (`on_contact_up /
+//!   on_message / on_timer → Vec<Effect>`) that the async `omn-node`
+//!   runtime instantiates once per node.
 //!
 //! * **Simulator** ([`sim`]): a trace-driven simulator measuring cache
 //!   freshness over time, refresh delays, fresh-query ratios and overhead

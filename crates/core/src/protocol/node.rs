@@ -4,7 +4,7 @@
 //! [`NodeProtocol`] is the protocol as one node experiences it:
 //! `on_contact_up / on_message / on_timer → Vec<`[`Effect`]`>`, with time
 //! injected at every entry point and no shared state between instances.
-//! Where [`HierarchicalCore`](super::HierarchicalCore) is the *global*
+//! Where [`HierarchicalScheme`] and [`EpidemicRefresh`] are the *global*
 //! formulation (one state machine that sees every contact — exactly what
 //! the DES drives), `NodeProtocol` is the *local* formulation the async
 //! `omn-node` runtime instantiates once per node.
@@ -21,8 +21,11 @@
 //! Probabilistic *replication* is deliberately not part of `NodeProtocol`:
 //! the handoff guard (`version_of(parent) == current_version`) compares a
 //! member's cache against the source's **global** current version, which a
-//! disconnected node cannot know. That variant stays in the env-generic
-//! [`HierarchicalCore`]; see DESIGN.md for the locality argument.
+//! disconnected node cannot know. That variant stays in the DES's
+//! [`HierarchicalScheme`]; see DESIGN.md for the locality argument.
+//!
+//! [`HierarchicalScheme`]: crate::scheme::HierarchicalScheme
+//! [`EpidemicRefresh`]: crate::scheme::EpidemicRefresh
 
 use omn_contacts::NodeId;
 use omn_sim::{SimDuration, SimTime};

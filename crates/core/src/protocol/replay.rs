@@ -3,10 +3,13 @@
 //! instance per node and carries out the returned effects.
 //!
 //! This is the smallest possible runtime — no transport, no tasks — and
-//! the semantic yardstick for every other one: the DES adapter must match
-//! it bit-for-bit on the locally-decidable protocol modes (proven by
-//! proptest in `scheme`), and the async `omn-node` runtime must match it
-//! over real serialized messages (proven by the E18 campaign).
+//! the semantic yardstick for every other one: the DES schemes
+//! ([`HierarchicalScheme`](crate::scheme::HierarchicalScheme) over a
+//! static tree, [`EpidemicRefresh`](crate::scheme::EpidemicRefresh)) must
+//! match it bit-for-bit on the locally-decidable protocol modes (proven by
+//! the `replay_equivalence` proptests), and the async `omn-node` runtime
+//! must match it over real serialized messages (proven by the E18
+//! campaign).
 
 use std::collections::HashMap;
 

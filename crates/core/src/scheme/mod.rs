@@ -7,10 +7,9 @@
 //! (member cache versions, transmission and replica counts) go through
 //! [`SchemeCtx`], so accounting is uniform across schemes.
 //!
-//! The protocol logic itself lives in the sans-io [`crate::protocol`]
-//! cores; the schemes here are thin adapters that drive those cores with
-//! [`SchemeCtx`] as their [`ProtocolEnv`] — one call per event, so the
-//! DES path is bit-identical to the historical in-place schemes.
+//! Each scheme is the protocol itself, driven directly by the DES through
+//! [`SchemeCtx`]; the per-node formulation the async `omn-node` runtime
+//! runs is [`crate::protocol::NodeProtocol`].
 
 mod baselines;
 mod hierarchical;
@@ -19,9 +18,6 @@ pub use baselines::{EpidemicRefresh, NoRefresh};
 pub use hierarchical::{
     HierarchicalConfig, HierarchicalScheme, PlanningMode, ResilienceConfig, RetryPolicy,
 };
-
-pub use crate::protocol::Delivery;
-use crate::protocol::ProtocolEnv;
 
 use std::collections::HashMap;
 
@@ -33,6 +29,21 @@ use omn_sim::{
     ByteConsume, OracleMode, OracleObs, SimTime, SimWorld, TransferBudget, TxQueues, Violation,
 };
 use rand::rngs::StdRng;
+
+/// Outcome of a fallible version delivery ([`SchemeCtx::try_deliver`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery {
+    /// The member cache was updated (one transmission counted).
+    Delivered,
+    /// Nothing to send: the target is not a member, already holds the
+    /// version (or newer), or the version is from the future. No
+    /// transmission is counted — identical to the pre-fault semantics.
+    Unneeded,
+    /// The transfer was attempted but lost to injected transmission
+    /// failure. The transmission is still counted against the sender (the
+    /// bytes went on the air), plus a `"failed-transmissions"` extra.
+    Failed,
+}
 
 /// A refresh transfer deferred by a contact's byte capacity, waiting in
 /// its sender's transmission queue for a later contact with the same
@@ -471,90 +482,6 @@ impl SchemeCtx<'_> {
     pub fn observe(&mut self, obs: &OracleObs) {
         self.world.advance_to(self.now);
         self.world.oracle_event(obs);
-    }
-}
-
-/// The DES context *is* a protocol environment: every capability the
-/// sans-io cores need maps one-to-one onto an existing `SchemeCtx`
-/// method, so driving a core through this impl produces exactly the call
-/// sequence the historical in-place schemes produced.
-impl ProtocolEnv for SchemeCtx<'_> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn current_version(&self) -> u64 {
-        self.current_version
-    }
-
-    fn root(&self) -> NodeId {
-        self.root
-    }
-
-    fn members(&self) -> &[NodeId] {
-        self.members
-    }
-
-    fn is_member(&self, node: NodeId) -> bool {
-        SchemeCtx::is_member(self, node)
-    }
-
-    fn version_of(&self, node: NodeId) -> Option<u64> {
-        SchemeCtx::version_of(self, node)
-    }
-
-    fn try_deliver(&mut self, from: NodeId, to: NodeId, version: u64) -> Delivery {
-        SchemeCtx::try_deliver(self, from, to, version)
-    }
-
-    fn attempt_transfer(&mut self, from: NodeId) -> bool {
-        SchemeCtx::attempt_transfer(self, from)
-    }
-
-    fn record_replica(&mut self) {
-        SchemeCtx::record_replica(self);
-    }
-
-    fn count(&mut self, name: &str, n: u64) {
-        SchemeCtx::count(self, name, n);
-    }
-
-    fn estimated_rate(&self, a: NodeId, b: NodeId) -> f64 {
-        SchemeCtx::estimated_rate(self, a, b)
-    }
-
-    fn estimated_graph(&self) -> ContactGraph {
-        SchemeCtx::estimated_graph(self)
-    }
-
-    fn oracle_graph(&self) -> &ContactGraph {
-        SchemeCtx::oracle_graph(self)
-    }
-
-    fn node_count(&self) -> usize {
-        SchemeCtx::node_count(self)
-    }
-
-    fn node_is_down(&self, node: NodeId) -> bool {
-        SchemeCtx::node_is_down(self, node)
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        SchemeCtx::rng(self)
-    }
-
-    fn oracle_active(&self) -> bool {
-        SchemeCtx::oracle_active(self)
-    }
-
-    fn oracle_check(
-        &mut self,
-        ok: bool,
-        invariant: &'static str,
-        node: Option<NodeId>,
-        detail: impl FnOnce() -> String,
-    ) {
-        SchemeCtx::oracle_check(self, ok, invariant, node, detail);
     }
 }
 

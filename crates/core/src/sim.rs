@@ -29,7 +29,6 @@ use std::collections::HashMap;
 
 use omn_contacts::estimate::{EstimatorKind, PairRateTable};
 use omn_contacts::faults::{FaultConfig, FaultPlan};
-use omn_contacts::synth::sharded::{ParallelShardedSource, ShardedCommunityConfig};
 use omn_contacts::{
     Centrality, ContactDriver, ContactFate, ContactGraph, ContactSource, ContactTrace, NodeId,
 };
@@ -589,35 +588,6 @@ impl FreshnessSimulator {
     ) -> (FreshnessReport, StreamStats) {
         let driver = ContactDriver::from_source(contacts, self.config.faults, factory);
         self.drive(driver, oracle, source, members, scheme, factory)
-    }
-
-    /// Runs a scheme over a sharded community world whose contact stream
-    /// is generated window-by-window by per-shard sub-generators on up to
-    /// `threads` OS threads, k-way merged at each window barrier
-    /// ([`ParallelShardedSource`]). The merged stream — and therefore the
-    /// entire report — is bit-identical to
-    /// [`FreshnessSimulator::run_streamed`] over a serial
-    /// [`ShardedCommunitySource`](omn_contacts::synth::sharded::ShardedCommunitySource)
-    /// of the same world, for any `threads`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty, unsorted, contains duplicates or the
-    /// source, or references nodes outside the world.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // run_streamed's signature + thread count
-    pub fn run_sharded(
-        &self,
-        world: &ShardedCommunityConfig,
-        oracle: &ContactGraph,
-        source: NodeId,
-        members: &[NodeId],
-        scheme: &mut dyn RefreshScheme,
-        factory: &RngFactory,
-        threads: usize,
-    ) -> (FreshnessReport, StreamStats) {
-        let contacts = ParallelShardedSource::new(world, factory, threads);
-        self.run_streamed(contacts, oracle, source, members, scheme, factory)
     }
 
     /// Selects the source and caching nodes for a streamed run from a

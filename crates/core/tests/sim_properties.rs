@@ -100,3 +100,29 @@ proptest! {
         prop_assert!(epidemic.mean_freshness >= none.mean_freshness - 1e-9);
     }
 }
+
+/// Every built-in scheme reports under its `SchemeChoice` label, both from
+/// the instantiated scheme and in a run's report.
+#[test]
+fn scheme_names_match_their_choice() {
+    let factory = RngFactory::new(3);
+    let trace = generate_pairwise(
+        &PairwiseConfig::new(8, SimDuration::from_days(1.0)).mean_rate(1.0 / 3600.0),
+        &factory,
+    );
+    let config = FreshnessConfig {
+        caching_nodes: 3,
+        refresh_period: SimDuration::from_hours(6.0),
+        query_count: 0,
+        ..FreshnessConfig::default()
+    };
+    let sim = FreshnessSimulator::new(config);
+    for choice in SchemeChoice::ALL {
+        assert_eq!(sim.make_scheme(choice).name(), choice.name());
+        assert_eq!(
+            sim.run(&trace, choice, &factory).scheme,
+            choice.name(),
+            "report label of {choice}"
+        );
+    }
+}

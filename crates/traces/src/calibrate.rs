@@ -49,7 +49,7 @@ pub struct Calibration {
     /// Mean pairwise rate over all unordered pairs (contacts/s/pair).
     pub mean_rate: f64,
     /// Method-of-moments Gamma shape of the across-pair rate distribution,
-    /// clamped to [`SHAPE_BOUNDS`].
+    /// clamped to `[0.05, 10]`.
     pub rate_shape: f64,
     /// Mean contact duration.
     pub mean_contact_duration: SimDuration,

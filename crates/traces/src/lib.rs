@@ -17,7 +17,7 @@
 //!   policy, reporting failures through the typed
 //!   [`ParseError`](omn_contacts::io::ParseError) introduced for
 //!   `StreamingTraceSource`;
-//! * [`registry`] — dataset specs ([`registry::TraceSpec`]: path, format,
+//! * [`registry`](mod@registry) — dataset specs ([`registry::TraceSpec`]: path, format,
 //!   pinned checksum, expected population/span), format sniffing and
 //!   probing, and the built-in registry that prefers full datasets under
 //!   `datasets/` and falls back to fixture excerpts under `tests/data/`;
