@@ -29,6 +29,9 @@ use crate::message::{Message, MessageId};
 /// allocating unbounded memory.
 pub const MAX_FRAME_BODY: usize = 16 * 1024 * 1024;
 
+/// Fixed header bytes of a body: id, src, dst, size, created, ttl flag.
+const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8 + 1;
+
 /// Why a frame could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
@@ -55,6 +58,10 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// What [`Frame::decode_parts`] yields: the header, the payload borrowed
+/// from the input, and the bytes consumed.
+pub type FrameParts<'a> = (Message, &'a [u8], usize);
+
 /// One on-the-wire frame: a message header and its opaque payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
@@ -74,7 +81,17 @@ impl Frame {
 
     /// Appends the encoded frame to `buf`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        let m = &self.message;
+        Frame::encode_parts(&self.message, &self.payload, buf);
+    }
+
+    /// Appends the frame of `message` and `payload` to `buf` without
+    /// building a [`Frame`]: the same bytes as [`Frame::encode`]. The only
+    /// allocation is `buf` growing at most once; an empty `buf` gets
+    /// exactly the frame's length.
+    pub fn encode_parts(message: &Message, payload: &[u8], buf: &mut Vec<u8>) {
+        let m = message;
+        let ttl_len = if m.ttl().is_some() { 8 } else { 0 };
+        buf.reserve(4 + HEADER_LEN + ttl_len + 4 + payload.len());
         let body_at = buf.len();
         buf.extend_from_slice(&[0u8; 4]); // length back-patched below
         buf.extend_from_slice(&m.id().0.to_le_bytes());
@@ -89,10 +106,9 @@ impl Frame {
             }
             None => buf.push(0),
         }
-        let payload_len =
-            u32::try_from(self.payload.len()).expect("payload fits the u32 length field");
+        let payload_len = u32::try_from(payload.len()).expect("payload fits the u32 length field");
         buf.extend_from_slice(&payload_len.to_le_bytes());
-        buf.extend_from_slice(&self.payload);
+        buf.extend_from_slice(payload);
         let body_len = u32::try_from(buf.len() - body_at - 4).expect("frame body fits u32");
         buf[body_at..body_at + 4].copy_from_slice(&body_len.to_le_bytes());
     }
@@ -100,7 +116,7 @@ impl Frame {
     /// The encoded frame as a fresh buffer.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.payload.len());
+        let mut buf = Vec::new();
         self.encode(&mut buf);
         buf
     }
@@ -115,6 +131,18 @@ impl Frame {
     /// [`WireError`] when the frame is structurally invalid; the stream
     /// should be torn down, since resynchronization is impossible.
     pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
+        Ok(Frame::decode_parts(buf)?
+            .map(|(message, payload, used)| (Frame::new(message, payload.to_vec()), used)))
+    }
+
+    /// [`Frame::decode`] without copying the payload, which stays
+    /// borrowed from `buf`. Decodes and fails exactly as
+    /// [`Frame::decode`] does, and allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] when the frame is structurally invalid.
+    pub fn decode_parts(buf: &[u8]) -> Result<Option<FrameParts<'_>>, WireError> {
         let Some(len_bytes) = buf.get(..4) else {
             return Ok(None);
         };
@@ -137,7 +165,7 @@ impl Frame {
             _ => return Err(WireError::Malformed("ttl flag")),
         };
         let payload_len = r.u32("payload length")? as usize;
-        let payload = r.bytes(payload_len, "payload")?.to_vec();
+        let payload = r.bytes(payload_len, "payload")?;
         if r.at != body.len() {
             return Err(WireError::Malformed("trailing bytes in body"));
         }
@@ -156,7 +184,7 @@ impl Frame {
             }
         }
         let message = Message::new(id, src, dst, size, created, ttl);
-        Ok(Some((Frame { message, payload }, 4 + body_len)))
+        Ok(Some((message, payload, 4 + body_len)))
     }
 }
 
@@ -252,6 +280,42 @@ mod tests {
         let (fb, used_b) = Frame::decode(&buf[used..]).unwrap().unwrap();
         assert_eq!(fb, b);
         assert_eq!(used + used_b, buf.len());
+    }
+
+    #[test]
+    fn decode_parts_agrees_with_decode() {
+        let owned = |r: Result<Option<FrameParts<'_>>, WireError>| {
+            r.map(|o| o.map(|(m, p, used)| (Frame::new(m, p.to_vec()), used)))
+        };
+        let mut inputs: Vec<Vec<u8>> = Vec::new();
+        for f in [frame(None, b""), frame(Some(2.5), b"payload")] {
+            let bytes = f.to_bytes();
+            // Whole, every truncation, and a frame followed by more bytes.
+            for cut in 0..=bytes.len() {
+                inputs.push(bytes[..cut].to_vec());
+            }
+            let mut longer = bytes.clone();
+            longer.extend_from_slice(b"next");
+            inputs.push(longer);
+            // A body with a trailing byte its structure does not account for.
+            let mut trailing = bytes.clone();
+            trailing.push(0);
+            let body_len = u32::try_from(trailing.len() - 4).unwrap();
+            trailing[..4].copy_from_slice(&body_len.to_le_bytes());
+            inputs.push(trailing);
+        }
+        inputs.push(u32::MAX.to_le_bytes().to_vec());
+        let mut kinds = [0usize; 3];
+        for input in &inputs {
+            let whole = Frame::decode(input);
+            kinds[match &whole {
+                Ok(Some(_)) => 0,
+                Ok(None) => 1,
+                Err(_) => 2,
+            }] += 1;
+            assert_eq!(owned(Frame::decode_parts(input)), whole, "{input:?}");
+        }
+        assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
     }
 
     #[test]

@@ -4,10 +4,26 @@
 //!
 //! The capacity bounds every node's inbox, so a runtime with 10⁴ node
 //! tasks has O(nodes × capacity) worst-case buffering, not unbounded
-//! growth. Senders block (or return `Pending`) when the queue is full;
-//! receivers when it is empty. Closure is bidirectional: dropping the
-//! receiver fails subsequent sends, dropping the last sender drains the
-//! receiver to `None`.
+//! growth. That bound is loose in practice: at 10⁴ nodes × 1024 slots it
+//! is about 10⁷ queued dispatches, and the firehose supervisor, which
+//! dispatches link-ups faster than a single executor worker absorbs them,
+//! really does run that far ahead — the queued backlog is the firehose's
+//! peak memory. Senders block (or return `Pending`) when the queue is
+//! full; receivers when it is empty. Closure is bidirectional: dropping
+//! the receiver fails subsequent sends, dropping the last sender drains
+//! the receiver to `None`.
+//!
+//! # Wakeups
+//!
+//! Async tasks park by leaving a [`Waker`]; plain threads park on a
+//! [`Condvar`]. A condvar notify is a syscall whether or not anyone
+//! waits, so the channel notifies one only when a thread is parked on it:
+//! `recv_blocking` and `send_blocking` count themselves into the state
+//! (under the mutex, before `wait`) and out again after it, and every
+//! push, pop and close checks that count under the same mutex. A waiter
+//! that has not counted itself in yet has not checked its condition yet
+//! either, so it sees the new state without a notify. Only the last
+//! `Sender` drop closes the channel, so only that one wakes anybody.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -34,6 +50,10 @@ struct State<T> {
     receiver_alive: bool,
     recv_waker: Option<Waker>,
     send_wakers: Vec<Waker>,
+    /// Threads parked in [`Receiver::recv_blocking`].
+    recv_parked: usize,
+    /// Threads parked in [`Sender::send_blocking`].
+    send_parked: usize,
 }
 
 struct Shared<T> {
@@ -55,12 +75,32 @@ impl<T> Shared<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn wake_receiver(state: &mut State<T>) -> Option<Waker> {
-        state.recv_waker.take()
+    /// Wakes the receiver after an item arrived (or the last sender
+    /// left), releasing `state` first.
+    fn wake_receiver(&self, mut state: MutexGuard<'_, State<T>>) {
+        let waker = state.recv_waker.take();
+        let parked = state.recv_parked > 0;
+        drop(state);
+        if let Some(w) = waker {
+            w.wake();
+        }
+        if parked {
+            self.recv_ready.notify_one();
+        }
     }
 
-    fn wake_senders(state: &mut State<T>) -> Vec<Waker> {
-        std::mem::take(&mut state.send_wakers)
+    /// Wakes every sender after space freed up (or the receiver left),
+    /// releasing `state` first.
+    fn wake_senders(&self, mut state: MutexGuard<'_, State<T>>) {
+        let wakers = std::mem::take(&mut state.send_wakers);
+        let parked = state.send_parked > 0;
+        drop(state);
+        for w in wakers {
+            w.wake();
+        }
+        if parked {
+            self.send_ready.notify_all();
+        }
     }
 }
 
@@ -76,6 +116,8 @@ pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             receiver_alive: true,
             recv_waker: None,
             send_wakers: Vec::new(),
+            recv_parked: 0,
+            send_parked: 0,
         }),
         recv_ready: Condvar::new(),
         send_ready: Condvar::new(),
@@ -111,19 +153,11 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let waker = {
-            let mut state = self.shared.lock();
-            state.senders -= 1;
-            if state.senders == 0 {
-                Shared::wake_receiver(&mut state)
-            } else {
-                None
-            }
-        };
-        if let Some(w) = waker {
-            w.wake();
+        let mut state = self.shared.lock();
+        state.senders -= 1;
+        if state.senders == 0 {
+            self.shared.wake_receiver(state);
         }
-        self.shared.recv_ready.notify_all();
     }
 }
 
@@ -150,12 +184,7 @@ impl<T> Sender<T> {
             return Err(Closed);
         }
         state.queue.push_back(value);
-        let waker = Shared::wake_receiver(&mut state);
-        drop(state);
-        if let Some(w) = waker {
-            w.wake();
-        }
-        self.shared.recv_ready.notify_one();
+        self.shared.wake_receiver(state);
         Ok(())
     }
 
@@ -169,19 +198,16 @@ impl<T> Sender<T> {
             }
             if state.queue.len() < state.capacity {
                 state.queue.push_back(value);
-                let waker = Shared::wake_receiver(&mut state);
-                drop(state);
-                if let Some(w) = waker {
-                    w.wake();
-                }
-                self.shared.recv_ready.notify_one();
+                self.shared.wake_receiver(state);
                 return Ok(());
             }
+            state.send_parked += 1;
             state = self
                 .shared
                 .send_ready
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.send_parked -= 1;
         }
     }
 }
@@ -220,12 +246,7 @@ impl<T> Future for SendFuture<'_, T> {
                 return Poll::Ready(Err(Closed));
             };
             state.queue.push_back(value);
-            let waker = Shared::wake_receiver(&mut state);
-            drop(state);
-            if let Some(w) = waker {
-                w.wake();
-            }
-            this.shared.recv_ready.notify_one();
+            this.shared.wake_receiver(state);
             Poll::Ready(Ok(()))
         } else {
             state.send_wakers.push(cx.waker().clone());
@@ -247,15 +268,9 @@ impl<T> std::fmt::Debug for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let wakers = {
-            let mut state = self.shared.lock();
-            state.receiver_alive = false;
-            Shared::wake_senders(&mut state)
-        };
-        for w in wakers {
-            w.wake();
-        }
-        self.shared.send_ready.notify_all();
+        let mut state = self.shared.lock();
+        state.receiver_alive = false;
+        self.shared.wake_senders(state);
     }
 }
 
@@ -274,22 +289,19 @@ impl<T> Receiver<T> {
         let mut state = self.shared.lock();
         loop {
             if let Some(v) = state.queue.pop_front() {
-                let wakers = Shared::wake_senders(&mut state);
-                drop(state);
-                for w in wakers {
-                    w.wake();
-                }
-                self.shared.send_ready.notify_all();
+                self.shared.wake_senders(state);
                 return Some(v);
             }
             if state.senders == 0 {
                 return None;
             }
+            state.recv_parked += 1;
             state = self
                 .shared
                 .recv_ready
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.recv_parked -= 1;
         }
     }
 
@@ -297,12 +309,7 @@ impl<T> Receiver<T> {
     pub fn try_recv(&mut self) -> Option<T> {
         let mut state = self.shared.lock();
         let v = state.queue.pop_front()?;
-        let wakers = Shared::wake_senders(&mut state);
-        drop(state);
-        for w in wakers {
-            w.wake();
-        }
-        self.shared.send_ready.notify_all();
+        self.shared.wake_senders(state);
         Some(v)
     }
 }
@@ -324,12 +331,7 @@ impl<T> Future for RecvFuture<'_, T> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut state = self.shared.lock();
         if let Some(v) = state.queue.pop_front() {
-            let wakers = Shared::wake_senders(&mut state);
-            drop(state);
-            for w in wakers {
-                w.wake();
-            }
-            self.shared.send_ready.notify_all();
+            self.shared.wake_senders(state);
             return Poll::Ready(Some(v));
         }
         if state.senders == 0 {
@@ -378,19 +380,112 @@ mod tests {
 
     #[test]
     fn send_future_reports_closed_when_polled_after_completion() {
+        let (tx, mut rx) = channel::<u64>(2);
+        let mut fut = tx.send(5);
+        assert_eq!(poll_once(&mut fut), Poll::Ready(Ok(())));
+        // The value was consumed by the first poll; a second poll is a
+        // caller bug and reports failure instead of panicking.
+        assert_eq!(poll_once(&mut fut), Poll::Ready(Err(Closed)));
+        assert_eq!(rx.try_recv(), Some(5));
+    }
+
+    /// Polls `fut` once with a waker that does nothing.
+    fn poll_once<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
         struct Noop;
         impl std::task::Wake for Noop {
             fn wake(self: Arc<Self>) {}
         }
         let waker = Waker::from(Arc::new(Noop));
-        let mut cx = Context::from_waker(&waker);
-        let (tx, mut rx) = channel::<u64>(2);
-        let mut fut = tx.send(5);
-        assert_eq!(Pin::new(&mut fut).poll(&mut cx), Poll::Ready(Ok(())));
-        // The value was consumed by the first poll; a second poll is a
-        // caller bug and reports failure instead of panicking.
-        assert_eq!(Pin::new(&mut fut).poll(&mut cx), Poll::Ready(Err(Closed)));
-        assert_eq!(rx.try_recv(), Some(5));
+        Pin::new(fut).poll(&mut Context::from_waker(&waker))
+    }
+
+    /// Runs `f` on a detached thread, so a thread left parked fails the
+    /// test in [`finish`] instead of hanging it.
+    fn on_thread<R: Send + 'static>(
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<R> {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(f());
+        });
+        done_rx
+    }
+
+    /// The result of an [`on_thread`] closure, waited for with a timeout.
+    fn finish<R>(done: &std::sync::mpsc::Receiver<R>) -> R {
+        done.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the parked thread was never woken (or it panicked)")
+    }
+
+    /// Spins until the channel state satisfies `parked` (a condition
+    /// that includes a thread counted in as parked).
+    fn await_parked<T>(shared: &Shared<T>, parked: impl Fn(&State<T>) -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !parked(&shared.lock()) {
+            assert!(std::time::Instant::now() < deadline, "thread never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn parked_recv_blocking_wakes_on_relaxed_and_async_sends() {
+        let (tx, mut rx) = channel::<u64>(4);
+        let shared = Arc::clone(&tx.shared);
+        let done = on_thread(move || {
+            let a = rx.recv_blocking();
+            let b = rx.recv_blocking();
+            (a, b)
+        });
+        await_parked(&shared, |s| s.recv_parked > 0);
+        tx.send_relaxed(1).unwrap();
+        // An empty queue means the receiver took the first item, so a
+        // parked count is its second wait.
+        await_parked(&shared, |s| s.queue.is_empty() && s.recv_parked > 0);
+        assert_eq!(poll_once(&mut tx.send(2)), Poll::Ready(Ok(())));
+        assert_eq!(finish(&done), (Some(1), Some(2)));
+    }
+
+    #[test]
+    fn parked_send_blocking_wakes_on_async_recv_and_try_recv() {
+        let (tx, mut rx) = channel::<u64>(1);
+        let shared = Arc::clone(&tx.shared);
+        tx.send_blocking(0).unwrap();
+        let done = on_thread(move || {
+            tx.send_blocking(1).unwrap();
+            tx.send_blocking(2).unwrap();
+        });
+        await_parked(&shared, |s| s.send_parked > 0);
+        assert_eq!(poll_once(&mut rx.recv()), Poll::Ready(Some(0)));
+        // The woken sender fills the slot and parks again on its next send.
+        await_parked(&shared, |s| {
+            s.queue.front() == Some(&1) && s.send_parked > 0
+        });
+        assert_eq!(rx.try_recv(), Some(1));
+        finish(&done);
+        assert_eq!(rx.try_recv(), Some(2));
+    }
+
+    #[test]
+    fn last_sender_drop_wakes_parked_recv_blocking() {
+        let (tx, mut rx) = channel::<u64>(1);
+        let shared = Arc::clone(&tx.shared);
+        let tx2 = tx.clone();
+        let done = on_thread(move || rx.recv_blocking());
+        await_parked(&shared, |s| s.recv_parked > 0);
+        drop(tx);
+        drop(tx2);
+        assert_eq!(finish(&done), None);
+    }
+
+    #[test]
+    fn receiver_drop_wakes_parked_send_blocking() {
+        let (tx, rx) = channel::<u64>(1);
+        let shared = Arc::clone(&tx.shared);
+        tx.send_blocking(0).unwrap();
+        let done = on_thread(move || tx.send_blocking(1));
+        await_parked(&shared, |s| s.send_parked > 0);
+        drop(rx);
+        assert_eq!(finish(&done), Err(Closed));
     }
 
     #[test]

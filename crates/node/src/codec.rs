@@ -61,24 +61,28 @@ impl From<WireError> for CodecError {
 
 /// Encodes `msg` from `from` to `to` at simulated instant `at` into one
 /// wire frame. `seq` becomes the frame's [`MessageId`] (unique per
-/// sender).
+/// sender). The payload is built on the stack, so the returned buffer,
+/// sized exactly to the frame, is the only allocation.
 #[must_use]
 pub fn encode(seq: u64, from: NodeId, to: NodeId, at: SimTime, msg: &ProtocolMsg) -> Vec<u8> {
-    let payload = encode_payload(msg);
+    let payload = Payload::new(msg);
+    let payload = payload.as_slice();
     let size = payload.len().max(1) as u64;
     let message = Message::new(MessageId(seq), from, to, size, at, None);
-    Frame::new(message, payload).to_bytes()
+    let mut out = Vec::new();
+    Frame::encode_parts(&message, payload, &mut out);
+    out
 }
 
 /// Decodes one whole frame: the sender, the simulated send instant, and
-/// the protocol message.
+/// the protocol message. Allocates nothing.
 pub fn decode(bytes: &[u8]) -> Result<(NodeId, SimTime, ProtocolMsg), CodecError> {
-    let (frame, used) = Frame::decode(bytes)?.ok_or(CodecError::Truncated)?;
+    let (message, payload, used) = Frame::decode_parts(bytes)?.ok_or(CodecError::Truncated)?;
     if used != bytes.len() {
         return Err(CodecError::TrailingBytes);
     }
-    let msg = decode_payload(&frame.payload)?;
-    Ok((frame.message.src(), frame.message.created(), msg))
+    let msg = decode_payload(payload)?;
+    Ok((message.src(), message.created(), msg))
 }
 
 /// Decodes the protocol payload of an already-parsed frame (for
@@ -87,22 +91,55 @@ pub fn decode_frame(frame: &Frame) -> Result<ProtocolMsg, CodecError> {
     decode_payload(&frame.payload)
 }
 
-fn encode_payload(msg: &ProtocolMsg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24);
-    match *msg {
-        ProtocolMsg::Refresh { version } => {
-            out.push(TAG_REFRESH);
-            out.extend_from_slice(&version.to_le_bytes());
+/// The longest payload: a `Summary` with both optional versions set.
+const MAX_PAYLOAD: usize = 1 + 4 + 1 + 9 + 9;
+
+/// An encoded payload, on the stack.
+struct Payload {
+    bytes: [u8; MAX_PAYLOAD],
+    len: usize,
+}
+
+impl Payload {
+    fn new(msg: &ProtocolMsg) -> Payload {
+        let mut p = Payload {
+            bytes: [0; MAX_PAYLOAD],
+            len: 0,
+        };
+        match *msg {
+            ProtocolMsg::Refresh { version } => {
+                p.push(&[TAG_REFRESH]);
+                p.push(&version.to_le_bytes());
+            }
+            ProtocolMsg::Summary(s) => {
+                p.push(&[TAG_SUMMARY]);
+                p.push(&s.node.0.to_le_bytes());
+                p.push(&[u8::from(s.is_member)]);
+                p.push_opt_u64(s.cache);
+                p.push_opt_u64(s.carried);
+            }
         }
-        ProtocolMsg::Summary(s) => {
-            out.push(TAG_SUMMARY);
-            out.extend_from_slice(&s.node.0.to_le_bytes());
-            out.push(u8::from(s.is_member));
-            push_opt_u64(&mut out, s.cache);
-            push_opt_u64(&mut out, s.carried);
+        p
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn push_opt_u64(&mut self, v: Option<u64>) {
+        match v {
+            Some(v) => {
+                self.push(&[1]);
+                self.push(&v.to_le_bytes());
+            }
+            None => self.push(&[0]),
         }
     }
-    out
+
+    fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 fn decode_payload(payload: &[u8]) -> Result<ProtocolMsg, CodecError> {
@@ -135,16 +172,6 @@ fn decode_payload(payload: &[u8]) -> Result<ProtocolMsg, CodecError> {
             }))
         }
         other => Err(CodecError::UnknownTag(other)),
-    }
-}
-
-fn push_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        None => out.push(0),
     }
 }
 
@@ -211,6 +238,65 @@ mod tests {
             let bytes = encode(1, n(3), n(4), SimTime::ZERO, &msg);
             let (_, _, decoded) = decode(&bytes).unwrap();
             assert_eq!(decoded, msg);
+        }
+    }
+
+    /// The exact bytes of four frames, pinned; each also equals the frame
+    /// that `Frame::new(..).to_bytes()` builds from the same parts.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let cases = [
+            (
+                ProtocolMsg::Refresh {
+                    version: 0x0102_0304_0506_0708,
+                },
+                "2e0000000700000000000000030000000400000009000000000000000000000000803e40\
+                 0009000000000807060504030201",
+            ),
+            (
+                ProtocolMsg::Summary(PeerSummary {
+                    node: n(9),
+                    is_member: true,
+                    cache: Some(3),
+                    carried: None,
+                }),
+                "350000000800000000000000030000000400000010000000000000000000000000803e40\
+                 001000000001090000000101030000000000000000",
+            ),
+            (
+                ProtocolMsg::Summary(PeerSummary {
+                    node: n(10),
+                    is_member: false,
+                    cache: None,
+                    carried: Some(11),
+                }),
+                "350000000900000000000000030000000400000010000000000000000000000000803e40\
+                 0010000000010a0000000000010b00000000000000",
+            ),
+            (
+                ProtocolMsg::Summary(PeerSummary {
+                    node: n(0),
+                    is_member: false,
+                    cache: None,
+                    carried: None,
+                }),
+                "2d0000000a00000000000000030000000400000008000000000000000000000000803e40\
+                 00080000000100000000000000",
+            ),
+        ];
+        let at = SimTime::from_secs(30.5);
+        for (seq, (msg, pinned)) in (7..).zip(cases) {
+            let bytes = encode(seq, n(3), n(4), at, &msg);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pinned, "{msg:?}");
+            let payload = Payload::new(&msg).as_slice().to_vec();
+            let message = Message::new(MessageId(seq), n(3), n(4), payload.len() as u64, at, None);
+            assert_eq!(bytes, Frame::new(message, payload).to_bytes(), "{msg:?}");
+            assert_eq!(
+                bytes.capacity(),
+                bytes.len(),
+                "{msg:?}: one exact allocation"
+            );
         }
     }
 

@@ -7,6 +7,13 @@
 //! `spawn` + cooperative wakeups from the bounded channels in
 //! [`chan`](crate::chan) — and nothing more (no IO reactor, no timers;
 //! simulated time is driven by the link supervisor).
+//!
+//! The ready queue's mutex also guards two words next to the queue: the
+//! number of idle workers parked on the condvar, and the shutdown flag. A
+//! wake notifies the condvar only when a worker is idle (a notify is a
+//! syscall, and a busy pool has nobody to wake). The shutdown flag is set
+//! under the same mutex, so a worker that has just seen it clear cannot
+//! miss the shutdown notify between that check and parking.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -18,11 +25,19 @@ use std::thread::JoinHandle;
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
-/// Shared executor state: the ready queue and shutdown flag.
+/// What the ready-queue mutex guards.
+#[derive(Default)]
+struct Ready {
+    queue: VecDeque<Arc<Task>>,
+    /// Workers parked on [`Shared::available`].
+    idle: usize,
+    shutdown: bool,
+}
+
+/// Shared executor state: the ready queue and its condvar.
 struct Shared {
-    ready: Mutex<VecDeque<Arc<Task>>>,
+    ready: Mutex<Ready>,
     available: Condvar,
-    shutdown: AtomicBool,
 }
 
 impl Shared {
@@ -30,7 +45,7 @@ impl Shared {
     /// that panicked inside a task poll never leaves the queue itself
     /// half-mutated (pushes and pops are single operations), so the
     /// remaining workers can keep scheduling the surviving tasks.
-    fn ready(&self) -> MutexGuard<'_, VecDeque<Arc<Task>>> {
+    fn ready(&self) -> MutexGuard<'_, Ready> {
         self.ready.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -47,14 +62,19 @@ impl Wake for Task {
     fn wake(self: Arc<Self>) {
         if !self.queued.swap(true, Ordering::AcqRel) {
             let shared = Arc::clone(&self.shared);
-            shared.ready().push_back(self);
-            shared.available.notify_one();
+            let mut ready = shared.ready();
+            ready.queue.push_back(self);
+            let idle = ready.idle > 0;
+            drop(ready);
+            if idle {
+                shared.available.notify_one();
+            }
         }
     }
 }
 
-/// The executor: spawn futures, then [`Executor::shutdown`] to join the
-/// workers once all communication has quiesced.
+/// The executor: spawn futures, then [`Executor::shutdown`] (or drop it)
+/// to join the workers once all communication has quiesced.
 pub struct Executor {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -73,9 +93,8 @@ impl Executor {
     #[must_use]
     pub fn new(threads: usize) -> Executor {
         let shared = Arc::new(Shared {
-            ready: Mutex::new(VecDeque::new()),
+            ready: Mutex::new(Ready::default()),
             available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         });
         let workers = (0..threads.max(1))
             .map(|i| {
@@ -104,19 +123,16 @@ impl Executor {
 
     /// Stops the workers after the ready queue drains of running work and
     /// joins them. Tasks still pending on a channel are dropped in place
-    /// (their futures are simply never polled again).
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.available.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    /// (their futures are simply never polled again). Dropping the
+    /// executor does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.ready().shutdown = true;
         self.shared.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -129,16 +145,18 @@ fn worker(shared: &Arc<Shared>) {
         let task = {
             let mut ready = shared.ready();
             loop {
-                if let Some(t) = ready.pop_front() {
+                if let Some(t) = ready.queue.pop_front() {
                     break t;
                 }
-                if shared.shutdown.load(Ordering::Acquire) {
+                if ready.shutdown {
                     return;
                 }
+                ready.idle += 1;
                 ready = shared
                     .available
                     .wait(ready)
                     .unwrap_or_else(PoisonError::into_inner);
+                ready.idle -= 1;
             }
         };
         // Clear the dedup flag *before* polling: a wake that lands during
@@ -190,6 +208,53 @@ mod tests {
         }
         assert_eq!(counter.load(Ordering::SeqCst), 64);
         exec.shutdown();
+    }
+
+    #[test]
+    fn idle_workers_pick_up_tasks_spawned_after_they_parked() {
+        let exec = Executor::new(2);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while exec.shared.ready().idle < 2 {
+            assert!(std::time::Instant::now() < deadline, "workers never parked");
+            std::thread::yield_now();
+        }
+        let (tx, rx) = mpsc::channel();
+        for i in 0..4 {
+            let tx = tx.clone();
+            exec.spawn(async move { tx.send(i).unwrap() });
+        }
+        let mut got: Vec<i32> = (0..4)
+            .map(|_| rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap())
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, [0, 1, 2, 3]);
+        exec.shutdown();
+    }
+
+    /// Shutdown right after the last task finishes races a worker between
+    /// its shutdown check and parking; an unlocked flag store loses the
+    /// notify there and `shutdown` hangs in `join`.
+    #[test]
+    fn shutdown_never_loses_its_wakeup() {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..3000 {
+                let exec = Executor::new(2);
+                let done = Arc::new(AtomicBool::new(false));
+                let flag = Arc::clone(&done);
+                exec.spawn(async move { flag.store(true, Ordering::Release) });
+                // Spin rather than block, so shutdown lands while the
+                // worker that ran the task heads back to park.
+                while !done.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                exec.shutdown();
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("Executor::shutdown hung: a worker missed the shutdown wakeup");
     }
 
     #[test]

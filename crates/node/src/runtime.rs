@@ -23,6 +23,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::Arc;
 
 use omn_contacts::{ContactSource, LinkEventKind, LinkEvents, NodeId};
 use omn_core::freshness::FreshnessTracker;
@@ -98,30 +99,21 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Everything a node task can be told.
+/// Everything a node task can be told. Kept small (24 bytes): the
+/// firehose supervisor runs far ahead of the workers, so queued
+/// `NodeMsg`s are most of its peak memory.
 enum NodeMsg {
     /// Lockstep: report your [`PeerSummary`] (acked with
     /// [`Ack::Summary`]).
     Probe,
-    /// Lockstep: a link to `peer` came up; run your directional pass and
-    /// wire any sends through `peer_tx` (acked with [`Ack::PassDone`]).
-    LinkUp {
-        t: SimTime,
-        peer: PeerSummary,
-        peer_tx: Sender<NodeMsg>,
-    },
+    /// Lockstep: a link to `peer` came up; run your directional pass
+    /// (acked with [`Ack::PassDone`]).
+    LinkUp { t: SimTime, peer: Box<PeerSummary> },
     /// Firehose: a link to `peer` came up; wire-send it your summary.
-    Announce {
-        t: SimTime,
-        peer: NodeId,
-        peer_tx: Sender<NodeMsg>,
-    },
-    /// A serialized frame from another node. `reply_tx` is the sender's
-    /// inbox, for effects the frame provokes.
-    Wire {
-        bytes: Vec<u8>,
-        reply_tx: Sender<NodeMsg>,
-    },
+    Announce { t: SimTime, peer: NodeId },
+    /// A serialized frame from another node; effects it provokes go back
+    /// to the frame's sender.
+    Wire(Box<[u8]>),
     /// A timer this node asked for (or the supervisor drives) fired.
     Timer { t: SimTime, kind: TimerKind },
     /// Processed strictly after everything already queued; acked with
@@ -158,9 +150,8 @@ enum Ack {
 struct NodeTask {
     proto: NodeProtocol,
     inbox: Receiver<NodeMsg>,
-    /// This node's own inbox sender, stamped onto outgoing wire frames as
-    /// the reply channel.
-    self_tx: Sender<NodeMsg>,
+    /// Every node's inbox, indexed by [`NodeId`]: where wire frames go.
+    peers: Arc<[Sender<NodeMsg>]>,
     /// Lockstep event feed (`None` in firehose mode).
     events: Option<Sender<Event>>,
     acks: Sender<Ack>,
@@ -179,30 +170,27 @@ impl NodeTask {
     async fn run(mut self) {
         let effects = self.proto.on_start();
         self.apply(SimTime::ZERO, effects, None).await;
-        loop {
-            let Some(msg) = self.inbox.recv().await else {
-                break;
-            };
+        while let Some(msg) = self.inbox.recv().await {
             match msg {
                 NodeMsg::Probe => {
                     let _ = self.acks.send(Ack::Summary(self.proto.summary())).await;
                 }
-                NodeMsg::LinkUp { t, peer, peer_tx } => {
+                NodeMsg::LinkUp { t, peer } => {
                     let effects = self.proto.on_contact_up(t, &peer);
-                    self.apply(t, effects, Some(&peer_tx)).await;
+                    self.apply(t, effects, Some(peer.node)).await;
                     let _ = self.acks.send(Ack::PassDone).await;
                 }
-                NodeMsg::Announce { t, peer, peer_tx } => {
+                NodeMsg::Announce { t, peer } => {
                     let msg = ProtocolMsg::Summary(self.proto.summary());
-                    self.wire_send(t, peer, &msg, &peer_tx);
+                    self.wire_send(t, peer, &msg);
                 }
-                NodeMsg::Wire { bytes, reply_tx } => {
+                NodeMsg::Wire(bytes) => {
                     self.received += 1;
                     self.bytes_received += bytes.len() as u64;
                     match codec::decode(&bytes) {
                         Ok((from, t, msg)) => {
                             let effects = self.proto.on_message(t, from, &msg);
-                            self.apply(t, effects, Some(&reply_tx)).await;
+                            self.apply(t, effects, Some(from)).await;
                         }
                         Err(_) => self.decode_errors += 1,
                     }
@@ -237,7 +225,9 @@ impl NodeTask {
         }
     }
 
-    async fn apply(&mut self, t: SimTime, effects: Vec<Effect>, peer_tx: Option<&Sender<NodeMsg>>) {
+    /// Carries out `effects`; `link` is the peer of the link (or wire
+    /// frame) that provoked them, if any.
+    async fn apply(&mut self, t: SimTime, effects: Vec<Effect>, link: Option<NodeId>) {
         for effect in effects {
             match effect {
                 Effect::Send { to, msg } => {
@@ -245,11 +235,11 @@ impl NodeTask {
                     // context; a protocol emitting one elsewhere is a
                     // bug, but dropping the frame and recording it keeps
                     // the rest of the network running.
-                    let Some(tx) = peer_tx else {
+                    if link.is_none() {
                         bump(&mut self.counts, "send-effect-without-link", 1);
                         continue;
-                    };
-                    self.wire_send(t, to, &msg, tx);
+                    }
+                    self.wire_send(t, to, &msg);
                 }
                 Effect::CacheWrite { version } => {
                     if let Some(events) = &self.events {
@@ -283,8 +273,14 @@ impl NodeTask {
         }
     }
 
-    fn wire_send(&mut self, t: SimTime, to: NodeId, msg: &ProtocolMsg, peer_tx: &Sender<NodeMsg>) {
-        let bytes = codec::encode(self.seq, self.proto.id(), to, t, msg);
+    fn wire_send(&mut self, t: SimTime, to: NodeId, msg: &ProtocolMsg) {
+        // `to` may come off the wire (a summary's node); a node outside
+        // the directory has no link to carry the frame.
+        let Some(tx) = self.peers.get(to.index()) else {
+            bump(&mut self.counts, "send-effect-without-link", 1);
+            return;
+        };
+        let bytes = codec::encode(self.seq, self.proto.id(), to, t, msg).into_boxed_slice();
         self.seq += 1;
         self.sent += 1;
         self.bytes_sent += bytes.len() as u64;
@@ -293,10 +289,7 @@ impl NodeTask {
         // wiring frames at each other through full bounded inboxes would
         // deadlock). Boundedness comes from the supervisor's dispatch
         // lane, which *does* block on capacity.
-        let _ = peer_tx.send_relaxed(NodeMsg::Wire {
-            bytes,
-            reply_tx: self.self_tx.clone(),
-        });
+        let _ = tx.send_relaxed(NodeMsg::Wire(bytes));
     }
 }
 
@@ -320,7 +313,7 @@ fn bump_secs(counts: &mut Vec<(&'static str, f64)>, name: &'static str, secs: f6
 /// event receivers the supervisor consumes.
 struct Network {
     exec: Executor,
-    inboxes: Vec<Sender<NodeMsg>>,
+    inboxes: Arc<[Sender<NodeMsg>]>,
     acks: Receiver<Ack>,
     events: Option<Receiver<Event>>,
 }
@@ -346,9 +339,11 @@ fn spawn_network(
     let exec = Executor::new(workers);
     let (ack_tx, ack_rx) = chan::channel::<Ack>(node_count.max(64));
     let (event_tx, event_rx) = chan::channel::<Event>(4096);
-    let mut inboxes = Vec::with_capacity(node_count);
-    let mut tasks = Vec::with_capacity(node_count);
-    for i in 0..node_count {
+    let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..node_count)
+        .map(|_| chan::channel::<NodeMsg>(config.inbox_capacity))
+        .unzip();
+    let inboxes: Arc<[Sender<NodeMsg>]> = inboxes.into();
+    for (i, inbox) in receivers.into_iter().enumerate() {
         let id = NodeId(u32::try_from(i).expect("node id fits u32"));
         let mut proto = NodeProtocol::new(id, root, members.contains(&id), config.mode);
         if let Some(tree) = tree {
@@ -361,11 +356,10 @@ fn spawn_network(
             // schedule instead (no event channel to carry SetTimer).
             proto.set_schedule(config.refresh_period, span);
         }
-        let (tx, rx) = chan::channel::<NodeMsg>(config.inbox_capacity);
-        tasks.push(NodeTask {
+        let task = NodeTask {
             proto,
-            inbox: rx,
-            self_tx: tx.clone(),
+            inbox,
+            peers: Arc::clone(&inboxes),
             events: lockstep.then(|| event_tx.clone()),
             acks: ack_tx.clone(),
             seq: 0,
@@ -377,10 +371,7 @@ fn spawn_network(
             decode_errors: 0,
             counts: Vec::new(),
             count_secs: Vec::new(),
-        });
-        inboxes.push(tx);
-    }
-    for task in tasks {
+        };
         exec.spawn(task.run());
     }
     Network {
@@ -393,7 +384,7 @@ fn spawn_network(
 
 /// Lockstep supervisor state shared by the contact and birth handlers.
 struct Lockstep {
-    inboxes: Vec<Sender<NodeMsg>>,
+    inboxes: Arc<[Sender<NodeMsg>]>,
     acks: Receiver<Ack>,
     events: Receiver<Event>,
     world: SimWorld,
@@ -490,8 +481,7 @@ impl Lockstep {
             self.inboxes[x.index()]
                 .send_blocking(NodeMsg::LinkUp {
                     t: at,
-                    peer: summary,
-                    peer_tx: self.inboxes[y.index()].clone(),
+                    peer: Box::new(summary),
                 })
                 .map_err(|_| RuntimeError::InboxClosed(x))?;
             match self.acks.recv_blocking() {
@@ -778,11 +768,7 @@ pub fn run_firehose<S: ContactSource>(
             contact_count += 1;
             for (x, y) in [(ev.pair.0, ev.pair.1), (ev.pair.1, ev.pair.0)] {
                 if inboxes[x.index()]
-                    .send_blocking(NodeMsg::Announce {
-                        t: ev.at,
-                        peer: y,
-                        peer_tx: inboxes[y.index()].clone(),
-                    })
+                    .send_blocking(NodeMsg::Announce { t: ev.at, peer: y })
                     .is_err()
                 {
                     channel_errors += 1;
@@ -807,7 +793,7 @@ pub fn run_firehose<S: ContactSource>(
     // drained (announce → summary frame → refresh frame → absorb).
     for _ in 0..3 {
         let mut expected = 0usize;
-        for tx in &inboxes {
+        for tx in inboxes.iter() {
             if tx.send_blocking(NodeMsg::Flush).is_ok() {
                 expected += 1;
             } else {
@@ -828,7 +814,7 @@ pub fn run_firehose<S: ContactSource>(
     }
 
     let mut expected = 0usize;
-    for tx in &inboxes {
+    for tx in inboxes.iter() {
         if tx.send_blocking(NodeMsg::Shutdown { t: span }).is_ok() {
             expected += 1;
         } else {
@@ -869,5 +855,15 @@ pub fn run_firehose<S: ContactSource>(
         decode_errors,
         channel_errors,
         elapsed,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn node_msg_stays_small() {
+        assert!(std::mem::size_of::<NodeMsg>() <= 24);
     }
 }

@@ -191,6 +191,32 @@ fn firehose_mode_delivers_every_frame_and_measures_throughput() {
         "the quiesce rounds must drain every in-flight frame"
     );
     assert_eq!(report.decode_errors, 0);
+    assert_eq!(report.channel_errors, 0);
+}
+
+/// With one inbox slot the supervisor's `send_blocking` parks on almost
+/// every dispatch, so the firehose runs on the parked-sender wakeup path.
+#[test]
+fn firehose_survives_single_slot_inboxes() {
+    let (trace, _) = small_world(3);
+    let sim = FreshnessSimulator::new(des_config());
+    let (root, members) = sim.select_roles(&trace);
+    for workers in [1, 2] {
+        let config = RuntimeConfig {
+            workers,
+            inbox_capacity: 1,
+            ..runtime_config(ProtocolMode::Epidemic)
+        };
+        let report = run_firehose(TraceSource::new(&trace), root, &members, &config);
+        assert_eq!(report.contacts, trace.len() as u64, "workers {workers}");
+        assert!(report.messages_sent > 0, "workers {workers}");
+        assert_eq!(
+            report.messages_received, report.messages_sent,
+            "workers {workers}: frames sent but not received"
+        );
+        assert_eq!(report.decode_errors, 0, "workers {workers}");
+        assert_eq!(report.channel_errors, 0, "workers {workers}");
+    }
 }
 
 #[test]
