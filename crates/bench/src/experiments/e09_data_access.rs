@@ -3,11 +3,13 @@
 //! layer decides whether those answers are *valid* (fresh). A fault sweep
 //! re-runs the caching layer under transmission loss and node churn
 //! (injected through the shared [`ContactDriver`](omn_contacts::ContactDriver)).
+//! Every caching run is the joint world with `freshness: None`.
 
 use omn_caching::query::QueryWorkload;
-use omn_caching::{AccessReport, CachingConfig, CachingSimulator, Catalog};
+use omn_caching::{AccessReport, CachingConfig, Catalog};
 use omn_contacts::faults::{DowntimeConfig, FaultConfig};
 use omn_contacts::synth::presets::TracePreset;
+use omn_core::joint::{JointConfig, JointSimulator};
 use omn_core::sim::{FreshnessConfig, FreshnessReport, FreshnessSimulator, SchemeChoice};
 use omn_sim::{RngFactory, SimDuration};
 
@@ -59,7 +61,8 @@ impl Params {
 
 /// The caching-layer fault scenarios of the sweep: label plus fault
 /// configuration (`None` = fault-free baseline).
-fn fault_scenarios(params: &Params) -> [(String, Option<FaultConfig>); 3] {
+#[must_use]
+pub fn fault_scenarios(params: &Params) -> [(String, Option<FaultConfig>); 3] {
     [
         ("fault-free".to_owned(), None),
         (
@@ -84,7 +87,10 @@ fn fault_scenarios(params: &Params) -> [(String, Option<FaultConfig>); 3] {
     ]
 }
 
-fn caching_run(
+/// One caching-layer run of the E9 configuration at `seed` under `faults`,
+/// with the catalog and query workload it served.
+#[must_use]
+pub fn caching_run(
     params: &Params,
     seed: u64,
     faults: Option<FaultConfig>,
@@ -94,13 +100,63 @@ fn caching_run(
     let base = config_for(params.preset);
     let catalog = Catalog::uniform(&trace, params.catalog, base.refresh_period, &factory);
     let queries = QueryWorkload::zipf(&trace, &catalog, params.load, 1.0, &factory);
-    let report = CachingSimulator::new(CachingConfig {
-        query_deadline: SimDuration::from_hours(12.0),
+    let report = JointSimulator::new(JointConfig {
+        caching: CachingConfig {
+            query_deadline: SimDuration::from_hours(12.0),
+            ..CachingConfig::default()
+        },
+        freshness: None,
         faults,
-        ..CachingConfig::default()
+        ..JointConfig::default()
     })
-    .run_seeded(&trace, &catalog, &queries, &factory);
+    .run(&trace, &catalog, &queries, &factory)
+    .access;
     (report, catalog, queries)
+}
+
+/// One seed of the stack: the fault-free caching run, plus per scheme the
+/// item-mean `(fresh-access, service)` ratios of the freshness layer over
+/// the caching sets it produced (`None` when no item had a caching set).
+#[must_use]
+pub fn stack_point(params: &Params, seed: u64) -> (AccessReport, Vec<Option<(f64, f64)>>) {
+    let factory = RngFactory::new(seed);
+    let trace = trace_for(params.preset, seed);
+    let base = config_for(params.preset);
+    let (caching_report, catalog, _) = caching_run(params, seed, None);
+
+    // Freshness layer per scheme, over each item's caching set.
+    let per_scheme = params
+        .schemes
+        .iter()
+        .map(|&choice| {
+            let sim = FreshnessSimulator::new(FreshnessConfig {
+                query_count: 100,
+                ..base
+            });
+            let reports = sim.run_catalog(
+                &trace,
+                &catalog,
+                &caching_report.cachers_per_item,
+                choice,
+                &factory,
+            );
+            (!reports.is_empty()).then(|| {
+                let n = reports.len() as f64;
+                let fresh = reports
+                    .iter()
+                    .map(FreshnessReport::fresh_access_ratio)
+                    .sum::<f64>()
+                    / n;
+                let service = reports
+                    .iter()
+                    .map(FreshnessReport::service_ratio)
+                    .sum::<f64>()
+                    / n;
+                (fresh, service)
+            })
+        })
+        .collect();
+    (caching_report, per_scheme)
 }
 
 /// Runs E9: the caching layer computes per-item caching sets and raw
@@ -115,53 +171,11 @@ pub fn run(plan: &CampaignPlan) {
     let seeds = &params.seeds;
     let schemes = &params.schemes;
 
-    // One (access success, per-scheme item means) result per seed.
-    type SchemeMeans = Vec<Option<(f64, f64)>>;
-    let per: Vec<(f64, SchemeMeans)> = per_seed(seeds, |seed| {
-        let factory = RngFactory::new(seed);
-        let trace = trace_for(preset, seed);
-        let base = config_for(preset);
-        let (caching_report, catalog, _) = caching_run(params, seed, None);
-
-        // Freshness layer per scheme, over each item's caching set.
-        let per_scheme = schemes
-            .iter()
-            .map(|&choice| {
-                let sim = FreshnessSimulator::new(FreshnessConfig {
-                    query_count: 100,
-                    ..base
-                });
-                let reports = sim.run_catalog(
-                    &trace,
-                    &catalog,
-                    &caching_report.cachers_per_item,
-                    choice,
-                    &factory,
-                );
-                (!reports.is_empty()).then(|| {
-                    let n = reports.len() as f64;
-                    let fresh = reports
-                        .iter()
-                        .map(FreshnessReport::fresh_access_ratio)
-                        .sum::<f64>()
-                        / n;
-                    let service = reports
-                        .iter()
-                        .map(FreshnessReport::service_ratio)
-                        .sum::<f64>()
-                        / n;
-                    (fresh, service)
-                })
-            })
-            .collect();
-        (caching_report.success_ratio(), per_scheme)
-    });
-
     let mut access_sr = Vec::new();
     let mut per_scheme_fresh: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
     let mut per_scheme_service: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for (sr, per_scheme) in per {
-        access_sr.push(sr);
+    for (caching_report, per_scheme) in per_seed(seeds, |seed| stack_point(params, seed)) {
+        access_sr.push(caching_report.success_ratio());
         for (si, entry) in per_scheme.into_iter().enumerate() {
             if let Some((fresh, service)) = entry {
                 per_scheme_fresh[si].push(fresh);

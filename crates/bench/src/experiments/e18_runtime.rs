@@ -178,7 +178,6 @@ pub fn cross_point_in(w: &PairwiseWorld, seed: u64, mode: ProtocolMode) -> Cross
         &members,
         tree.as_ref(),
         &runtime_config(mode),
-        &factory,
     );
     CrossPoint { des, rt }
 }

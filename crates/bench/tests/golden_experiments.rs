@@ -1,7 +1,7 @@
 //! Golden-value tests pinning the headline numbers of E2 (analysis vs
-//! simulation), E3 (freshness over time), E14 (joint-world contention),
-//! E15 (streaming scalability), E16 (real-trace ingestion and
-//! calibration), E17 (chaos ladder), E18 (async-runtime
+//! simulation), E3 (freshness over time), E9 (data-access validity), E14
+//! (joint-world contention), E15 (streaming scalability), E16 (real-trace
+//! ingestion and calibration), E17 (chaos ladder), E18 (async-runtime
 //! cross-validation) and E19 (bandwidth ladder) against committed golden
 //! files, plus the streamed-vs-materialized identity check of the
 //! pull-based driver.
@@ -25,6 +25,7 @@
 //! `OMN_REQUIRE_GOLDEN=1` (CI does) to turn a missing golden file into a
 //! hard failure instead, so the suite can never pass vacuously.
 
+use omn_bench::experiments::e09_data_access;
 use omn_bench::experiments::e14_joint_world::{joint_run, BUDGET, LOADS};
 use omn_bench::experiments::e15_scalability::{run_point, shards_for};
 use omn_bench::experiments::e16_real_traces::{repo_root, seed_point};
@@ -33,6 +34,8 @@ use omn_bench::experiments::e18_runtime::{assert_cross, cross_point};
 use omn_bench::experiments::e19_bandwidth;
 use omn_bench::experiments::{config_for, trace_for};
 use omn_bench::golden::{check_golden, golden_name, line};
+use omn_bench::scenario::{compile_str, embedded};
+use omn_bench::CliOverrides;
 use omn_caching::policy::PolicyChoice;
 use omn_contacts::synth::presets::TracePreset;
 use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
@@ -140,6 +143,71 @@ fn e3_headline_numbers() {
     line(&mut out, "epidemic_mean_freshness", epi.mean_freshness);
     line(&mut out, "no_refresh_mean_freshness", none.mean_freshness);
     check_golden(&golden_name("e03"), &out);
+}
+
+#[test]
+fn e9_headline_numbers() {
+    // One seed of the E9 stack at the committed spec's parameters: the
+    // caching layer's access numbers, the freshness layer's per-scheme
+    // ratios over the caching sets it produced, and the caching layer
+    // under the loss and churn scenarios of the fault sweep.
+    let text = embedded("e09").expect("e09 embedded");
+    let plan = compile_str(text, &CliOverrides::default()).expect("specs/e09.scn compiles");
+    let params = e09_data_access::Params::from_plan(&plan);
+    let seed = 11;
+    let (access, per_scheme) = e09_data_access::stack_point(&params, seed);
+    let [_, (_, loss), (_, churn)] = e09_data_access::fault_scenarios(&params);
+    let (lossy, _, _) = e09_data_access::caching_run(&params, seed, loss);
+    let (churned, _, _) = e09_data_access::caching_run(&params, seed, churn);
+
+    // Always-on invariants, independent of the recorded golden.
+    for r in [&access, &lossy, &churned] {
+        assert!(r.satisfied <= r.created);
+        assert!(r.local_hits <= r.satisfied);
+        assert_eq!(r.delays.len(), r.satisfied);
+    }
+    assert!(access.transmissions > 0);
+    assert_eq!(access.extras.get("failed-transmissions"), 0);
+    assert_eq!(access.extras.get("down-contacts"), 0);
+    assert!(lossy.extras.get("failed-transmissions") > 0);
+    assert!(lossy.extras.get("failed-transmissions") <= lossy.transmissions);
+    assert!(churned.extras.get("down-contacts") > 0);
+    let ratios: Vec<(f64, f64)> = per_scheme
+        .iter()
+        .map(|r| r.expect("items have caching sets"))
+        .collect();
+    // Serving ignores versions, so the service ratio is scheme-independent.
+    for &(fresh, service) in &ratios {
+        assert!(fresh <= service);
+        assert_eq!(service.to_bits(), ratios[0].1.to_bits());
+    }
+
+    let mut out = String::new();
+    line(&mut out, "caching_success_ratio", access.success_ratio());
+    line(&mut out, "caching_local_hits", access.local_hits as f64);
+    line(
+        &mut out,
+        "caching_transmissions",
+        access.transmissions as f64,
+    );
+    for (choice, (fresh, service)) in params.schemes.iter().zip(&ratios) {
+        let name = choice.name().replace('-', "_");
+        line(&mut out, &format!("{name}_fresh_access"), *fresh);
+        line(&mut out, &format!("{name}_service"), *service);
+    }
+    line(&mut out, "loss_success_ratio", lossy.success_ratio());
+    line(
+        &mut out,
+        "loss_failed_tx",
+        lossy.extras.get("failed-transmissions") as f64,
+    );
+    line(&mut out, "churn_success_ratio", churned.success_ratio());
+    line(
+        &mut out,
+        "churn_down_contacts",
+        churned.extras.get("down-contacts") as f64,
+    );
+    check_golden(&golden_name("e09"), &out);
 }
 
 #[test]

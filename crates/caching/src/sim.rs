@@ -1,4 +1,4 @@
-//! Trace-driven cooperative caching (data access) simulation.
+//! The cooperative caching (data access) layer.
 //!
 //! Implements the NCL caching protocol end to end:
 //!
@@ -15,38 +15,34 @@
 //! the data-access metrics of experiment E9 — plus the final set of nodes
 //! caching each item, which the cache-freshness layer consumes.
 //!
-//! The run executes on the shared `omn-sim` event kernel: a
-//! [`ContactDriver`] primes an [`Engine`] with one event per contact, query
-//! issues are scheduled at their issue instants, and query deadlines are
-//! first-class events ordered *after* contacts at the same instant (a query
-//! is still servable at a contact exactly at its deadline). With
-//! [`CachingConfig::faults`] set, churn suppresses contacts, truncation
-//! blocks them for data, and transmission loss fails individual hops.
+//! [`CachingRun`] holds the layer's state and handlers; the joint world
+//! (`omn_core::joint::JointSimulator`) drives it on the shared `omn-sim`
+//! event kernel, pulling contacts from a [`ContactDriver`] one event at a
+//! time. Query issues and deadlines are [`CachingTimer`]s, and deadlines
+//! are ordered *after* contacts at the same instant (a query is still
+//! servable at a contact exactly at its deadline). Under fault injection,
+//! churn suppresses contacts, truncation blocks them for data, and
+//! transmission loss fails individual hops.
 
-use omn_contacts::faults::FaultConfig;
-use omn_contacts::{
-    ContactDriver, ContactFate, ContactGraph, ContactSource, ContactTrace, NodeId, TransferOutcome,
-};
+use omn_contacts::{ContactDriver, ContactGraph, ContactSource, NodeId, TransferOutcome};
 use omn_sim::metrics::{Registry, SampleHistogram};
-use omn_sim::{Engine, EventClass, RngFactory, SimDuration, SimTime, TransferBudget};
+use omn_sim::{EventClass, SimDuration, SimTime, TransferBudget};
 
 use crate::item::{Catalog, DataItemId};
 use crate::ncl::{select_ncls, NclConfig};
-use crate::policy::{CachePolicy, Lru};
+use crate::policy::CachePolicy;
 use crate::query::{Query, QueryWorkload};
 use crate::store::CacheStore;
 
-/// Delivery classes for same-instant events. Deadlines fire *after*
-/// contacts: a query is still servable at a contact exactly at its
-/// deadline, matching the `<=` retain semantics of the pre-kernel loop.
+/// Delivery classes for same-instant timers. Issues fire before contacts
+/// (class 60) and deadlines *after* them: a query is still servable at a
+/// contact exactly at its deadline.
 const CLASS_QUERY_ISSUE: EventClass = EventClass(20);
-const CLASS_CONTACT: EventClass = EventClass(60);
 const CLASS_QUERY_DEADLINE: EventClass = EventClass(200);
 
 /// A non-contact event of the caching layer: the timer alphabet a
-/// [`CachingRun`] asks its driving loop to schedule. Public so that a joint
-/// multi-layer world can interleave caching timers with other layers'
-/// events on a single engine.
+/// [`CachingRun`] asks its driving loop to schedule, interleaved with
+/// other layers' events on a single engine.
 #[derive(Debug, Clone, Copy)]
 pub enum CachingTimer {
     /// The `i`-th query of the workload is issued.
@@ -57,8 +53,7 @@ pub enum CachingTimer {
 }
 
 impl CachingTimer {
-    /// The delivery class this timer must be scheduled in, preserving the
-    /// same-instant drain order of the standalone simulator (issues before
+    /// The delivery class this timer must be scheduled in (issues before
     /// contacts, deadlines after contacts).
     #[must_use]
     pub fn class(&self) -> EventClass {
@@ -67,15 +62,6 @@ impl CachingTimer {
             CachingTimer::QueryDeadline(_) => CLASS_QUERY_DEADLINE,
         }
     }
-}
-
-/// The standalone caching simulation's event alphabet.
-#[derive(Debug, Clone, Copy)]
-enum CachingEvent {
-    /// A scheduled caching-layer timer fires.
-    Timer(CachingTimer),
-    /// The `i`-th contact of the trace starts.
-    Contact(usize),
 }
 
 /// On-the-wire byte lengths of the caching protocol's message kinds.
@@ -131,7 +117,7 @@ impl Default for MessageSizes {
     }
 }
 
-/// Caching simulation parameters.
+/// Caching-layer parameters.
 #[derive(Debug, Clone)]
 pub struct CachingConfig {
     /// NCL selection parameters.
@@ -142,11 +128,6 @@ pub struct CachingConfig {
     pub query_deadline: SimDuration,
     /// Whether relays cache data passing through them.
     pub opportunistic_caching: bool,
-    /// Fault injection: `None` runs fault-free; `Some` materializes a
-    /// fault plan per run (seeded from the run's factory) and subjects
-    /// contacts and hop transfers to it. A plan with all probabilities at
-    /// zero is bit-identical to `None`.
-    pub faults: Option<FaultConfig>,
     /// Wire lengths of the protocol's messages, charged against the
     /// contact byte capacity when one is attached. Irrelevant (any value)
     /// under slot-counting budgets.
@@ -160,7 +141,6 @@ impl Default for CachingConfig {
             cache_capacity: 16,
             query_deadline: SimDuration::from_hours(24.0),
             opportunistic_caching: true,
-            faults: None,
             sizes: MessageSizes::default(),
         }
     }
@@ -192,7 +172,7 @@ struct PlacementCopy {
     carrier: NodeId,
 }
 
-/// Results of a caching simulation.
+/// Results of a caching-layer run.
 #[derive(Debug, Clone)]
 pub struct AccessReport {
     /// Queries issued.
@@ -200,9 +180,9 @@ pub struct AccessReport {
     /// Queries answered within the deadline.
     pub satisfied: usize,
     /// Of those, answered with a copy matching the item's current version
-    /// at service time. Standalone runs never advance versions, so this
-    /// always equals `satisfied` there; joint caching+freshness worlds
-    /// ([`crate::sim::CachingRun::set_version`]) make it a strict subset.
+    /// at service time. Without a freshness layer versions never advance,
+    /// so this always equals `satisfied`; with one
+    /// ([`CachingRun::set_version`]) it is a strict subset.
     pub satisfied_fresh: usize,
     /// Of those, answered from the requester's own cache.
     pub local_hits: usize,
@@ -250,133 +230,6 @@ impl AccessReport {
     }
 }
 
-/// The cooperative caching simulator.
-#[derive(Debug, Clone)]
-pub struct CachingSimulator {
-    config: CachingConfig,
-}
-
-impl CachingSimulator {
-    /// Creates a simulator.
-    #[must_use]
-    pub fn new(config: CachingConfig) -> CachingSimulator {
-        CachingSimulator { config }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &CachingConfig {
-        &self.config
-    }
-
-    /// Runs the protocol over `trace` for the given catalog and queries,
-    /// with LRU replacement.
-    ///
-    /// Equivalent to [`CachingSimulator::run_seeded`] with a fixed default
-    /// factory: fault-free runs consume no randomness, so this remains
-    /// fully determined by the trace and workload.
-    #[must_use]
-    pub fn run(
-        &self,
-        trace: &ContactTrace,
-        catalog: &Catalog,
-        queries: &QueryWorkload,
-    ) -> AccessReport {
-        self.run_with_policy(trace, catalog, queries, &Lru)
-    }
-
-    /// Runs the protocol with LRU replacement and an explicit RNG factory
-    /// (used to seed the fault plan when [`CachingConfig::faults`] is
-    /// set).
-    #[must_use]
-    pub fn run_seeded(
-        &self,
-        trace: &ContactTrace,
-        catalog: &Catalog,
-        queries: &QueryWorkload,
-        factory: &RngFactory,
-    ) -> AccessReport {
-        self.run_with_policy_seeded(trace, catalog, queries, &Lru, factory)
-    }
-
-    /// Runs the protocol with an explicit replacement policy and a fixed
-    /// default factory (see [`CachingSimulator::run`]).
-    #[must_use]
-    pub fn run_with_policy<P: CachePolicy + ?Sized>(
-        &self,
-        trace: &ContactTrace,
-        catalog: &Catalog,
-        queries: &QueryWorkload,
-        policy: &P,
-    ) -> AccessReport {
-        self.run_with_policy_seeded(trace, catalog, queries, policy, &RngFactory::new(0))
-    }
-
-    /// Runs the protocol with an explicit replacement policy and RNG
-    /// factory.
-    ///
-    /// A thin driving loop around one [`CachingRun`] participant: the
-    /// engine interleaves the participant's timers with the contact stream
-    /// of a dedicated [`ContactDriver`], with an unlimited per-contact
-    /// transfer budget (standalone runs own the whole contact).
-    #[must_use]
-    pub fn run_with_policy_seeded<P: CachePolicy + ?Sized>(
-        &self,
-        trace: &ContactTrace,
-        catalog: &Catalog,
-        queries: &QueryWorkload,
-        policy: &P,
-        factory: &RngFactory,
-    ) -> AccessReport {
-        let graph = ContactGraph::from_trace(trace);
-        // The driver materializes the run's fault schedule and feeds the
-        // contact stream into the engine; the registry carries the fault
-        // counters.
-        let mut driver = ContactDriver::new(trace, self.config.faults, factory);
-        let mut extras = Registry::new();
-        let (mut run, timers) =
-            CachingRun::new(&self.config, &graph, catalog, queries, policy, &driver);
-        let mut engine: Engine<CachingEvent> = Engine::new();
-        for (t, timer) in timers {
-            engine.schedule_at_class(t, timer.class(), CachingEvent::Timer(timer));
-        }
-        driver.begin(&mut engine, CLASS_CONTACT, CachingEvent::Contact);
-
-        while let Some(ev) = engine.next_event() {
-            match ev.payload {
-                CachingEvent::Timer(CachingTimer::QueryIssue(qid)) => {
-                    if let Some((due, timer)) = run.on_query_issue(qid) {
-                        engine.schedule_at_class(due, timer.class(), CachingEvent::Timer(timer));
-                    }
-                }
-                CachingEvent::Timer(CachingTimer::QueryDeadline(qid)) => {
-                    run.on_query_deadline(qid);
-                }
-                CachingEvent::Contact(ci) => {
-                    let now = ev.time;
-                    driver.advance(ci, &mut engine, CLASS_CONTACT, CachingEvent::Contact);
-                    let (a, b) = driver.contact(ci).pair();
-                    match driver.fate(ci, now) {
-                        ContactFate::Down => {
-                            extras.add("down-contacts", 1);
-                            continue;
-                        }
-                        ContactFate::Blocked => {
-                            extras.add("blocked-contacts", 1);
-                            continue;
-                        }
-                        ContactFate::Deliverable => {}
-                    }
-                    let mut budget = TransferBudget::unlimited();
-                    run.on_contact(a, b, now, &mut driver, &mut extras, &mut budget);
-                }
-            }
-        }
-
-        run.finish(driver.span(), extras)
-    }
-}
-
 /// Performs one budgeted hop of `bytes` on the wire: consumes budget,
 /// draws the loss fate, and maintains the transmission and fault counters.
 /// Returns whether the hop delivered (the caller then applies the data
@@ -415,25 +268,21 @@ fn budgeted_hop<S: ContactSource>(
 
 /// One caching participant: the complete state of an NCL caching run
 /// (per-node stores, in-flight placements, queries and responses,
-/// counters), with one handler per event class.
+/// counters), with one entry point for timers ([`CachingRun::on_timer`])
+/// and one for contacts ([`CachingRun::on_contact`]).
 ///
-/// Extracted from the standalone simulator loop so that a joint
-/// multi-layer world can drive it — alongside freshness participants —
+/// The joint world drives it — alongside any freshness participants —
 /// from a single engine over one shared contact stream, with every hop
-/// drawing on a per-contact [`TransferBudget`]. The standalone
-/// [`CachingSimulator`] is a thin driving loop around this struct and
-/// passes an unlimited budget per contact, which is bit-identical to the
-/// pre-extraction simulator.
-///
-/// Joint worlds additionally advance per-item versions
+/// drawing on a per-contact [`TransferBudget`]. It also advances per-item
+/// versions
 /// ([`CachingRun::set_version`]) as the freshness layer births them,
 /// propagate refreshed copies into caches ([`CachingRun::refresh_copy`])
 /// and may demote stale replicas ([`CachingRun::demote_stale`]); queries
 /// answered with a current-version copy count as `satisfied_fresh`.
 #[derive(Debug)]
-pub struct CachingRun<'a, P: CachePolicy + ?Sized> {
+pub struct CachingRun<'a> {
     catalog: &'a Catalog,
-    policy: &'a P,
+    policy: &'a dyn CachePolicy,
     qs: &'a [Query],
     ncls: Vec<NodeId>,
     /// All-pairs expected delays for gradient forwarding:
@@ -457,12 +306,12 @@ pub struct CachingRun<'a, P: CachePolicy + ?Sized> {
     transmissions: u64,
 }
 
-impl<'a, P: CachePolicy + ?Sized> CachingRun<'a, P> {
+impl<'a> CachingRun<'a> {
     /// Builds a participant plus the initial timers its driving loop must
     /// schedule (the query issues — deadline timers are returned by
-    /// [`CachingRun::on_query_issue`], and contact events are primed by
-    /// the caller from the shared [`ContactDriver`]). Each timer goes into
-    /// the class [`CachingTimer::class`] reports.
+    /// [`CachingRun::on_timer`], and contact events come from the caller's
+    /// shared [`ContactDriver`]). Each timer goes into the class
+    /// [`CachingTimer::class`] reports.
     ///
     /// Queries issued after the final contact start can no longer be
     /// served and are not scheduled (they still count as
@@ -473,9 +322,9 @@ impl<'a, P: CachePolicy + ?Sized> CachingRun<'a, P> {
         graph: &ContactGraph,
         catalog: &'a Catalog,
         queries: &'a QueryWorkload,
-        policy: &'a P,
+        policy: &'a dyn CachePolicy,
         driver: &ContactDriver<S>,
-    ) -> (CachingRun<'a, P>, Vec<(SimTime, CachingTimer)>) {
+    ) -> (CachingRun<'a>, Vec<(SimTime, CachingTimer)>) {
         let n = driver.node_count();
         let ncls = select_ncls(graph, &config.ncl);
         let delays: Vec<Vec<Option<f64>>> = (0..n)
@@ -564,6 +413,10 @@ impl<'a, P: CachePolicy + ?Sized> CachingRun<'a, P> {
     /// `item` at an older version, the entry is updated in place (the
     /// freshness layer already paid for the transmission). Nodes without a
     /// copy are unaffected. Returns whether an entry was refreshed.
+    ///
+    /// `#[inline]`: the joint world's loop, in another crate, calls this on
+    /// every contact for each endpoint that is a freshness-layer member.
+    #[inline]
     pub fn refresh_copy(
         &mut self,
         node: NodeId,
@@ -611,6 +464,11 @@ impl<'a, P: CachePolicy + ?Sized> CachingRun<'a, P> {
 
     /// Does `node` hold an answer for `item` at `now`? The source always
     /// does (at the current version).
+    ///
+    /// `#[inline]`: `on_contact` and `on_timer` call this per contact and
+    /// per query, and without the hint a release build places it in
+    /// another codegen unit and calls it out of line.
+    #[inline]
     fn holds(
         stores: &[CacheStore],
         catalog: &Catalog,
@@ -629,12 +487,21 @@ impl<'a, P: CachePolicy + ?Sized> CachingRun<'a, P> {
             .map(|e| e.version)
     }
 
-    /// Handles the issue of query `qid`: a local hit satisfies it
-    /// immediately, otherwise the query starts searching and the returned
-    /// deadline timer must be scheduled (it is `None` when the deadline
-    /// falls beyond the final contact and can never matter).
+    /// Handles a caching timer. A query issue that is not a local hit
+    /// starts searching and returns its deadline timer, which must be
+    /// scheduled (it is `None` when the deadline falls beyond the final
+    /// contact and can never matter). A deadline drops the query and any
+    /// in-flight response.
     #[must_use = "a returned deadline timer must be scheduled"]
-    pub fn on_query_issue(&mut self, qid: usize) -> Option<(SimTime, CachingTimer)> {
+    pub fn on_timer(&mut self, timer: CachingTimer) -> Option<(SimTime, CachingTimer)> {
+        let qid = match timer {
+            CachingTimer::QueryIssue(qid) => qid,
+            CachingTimer::QueryDeadline(qid) => {
+                self.pending_queries.retain(|p| p.qid != qid);
+                self.pending_responses.retain(|p| p.qid != qid);
+                return None;
+            }
+        };
         let q = self.qs[qid];
         if let Some(version) = Self::holds(
             &self.stores,
@@ -664,13 +531,6 @@ impl<'a, P: CachePolicy + ?Sized> CachingRun<'a, P> {
                 .is_some_and(|last| due <= last)
                 .then_some((due, CachingTimer::QueryDeadline(qid)))
         }
-    }
-
-    /// Handles query `qid`'s deadline: the query and any in-flight
-    /// response are dropped.
-    pub fn on_query_deadline(&mut self, qid: usize) {
-        self.pending_queries.retain(|p| p.qid != qid);
-        self.pending_responses.retain(|p| p.qid != qid);
     }
 
     /// Handles a deliverable contact between `a` and `b`: placement
@@ -860,107 +720,17 @@ impl<'a, P: CachePolicy + ?Sized> CachingRun<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omn_contacts::{Contact, TraceBuilder};
-    use omn_sim::RngFactory;
-
-    fn t(s: f64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    fn c(a: u32, b: u32, s: f64, e: f64) -> Contact {
-        Contact::new(NodeId(a), NodeId(b), t(s), t(e)).unwrap()
-    }
-
-    fn one_item_catalog(source: u32) -> Catalog {
-        Catalog::new(vec![crate::item::DataItem::new(
-            DataItemId(0),
-            NodeId(source),
-            100,
-            SimDuration::from_secs(1000.0),
-            SimDuration::from_secs(1e6),
-        )])
-    }
-
-    #[test]
-    fn local_hit_at_source() {
-        // The source queries its own item: instant hit, no contacts needed
-        // beyond one to drive the loop.
-        let trace = TraceBuilder::new(3)
-            .contact(c(1, 2, 10.0, 11.0))
-            .build()
-            .unwrap();
-        let catalog = one_item_catalog(0);
-        let queries = QueryWorkload::new(vec![Query {
-            issued: t(5.0),
-            requester: NodeId(0),
-            item: DataItemId(0),
-        }]);
-        let report =
-            CachingSimulator::new(CachingConfig::default()).run(&trace, &catalog, &queries);
-        assert_eq!(report.satisfied, 1);
-        assert_eq!(report.local_hits, 1);
-        assert_eq!(report.mean_delay(), Some(0.0));
-    }
-
-    #[test]
-    fn remote_answer_via_contact_with_source() {
-        // Requester 1 meets source 0 directly: 0 answers, response
-        // delivered in the same contact chain.
-        let trace = TraceBuilder::new(2)
-            .contact(c(0, 1, 10.0, 11.0))
-            .contact(c(0, 1, 20.0, 21.0))
-            .build()
-            .unwrap();
-        let catalog = one_item_catalog(0);
-        let queries = QueryWorkload::new(vec![Query {
-            issued: t(5.0),
-            requester: NodeId(1),
-            item: DataItemId(0),
-        }]);
-        let report =
-            CachingSimulator::new(CachingConfig::default()).run(&trace, &catalog, &queries);
-        // At t=10 the query (carried by 1) meets source 0, which answers
-        // and returns the response within the same contact → delay 5.
-        assert_eq!(report.satisfied, 1);
-        assert!((report.mean_delay().unwrap() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn placement_reaches_ncl_and_serves_queries() {
-        // Dense pair (1,2) makes them central; source 0 touches 1 once.
-        let mut builder = TraceBuilder::new(4).contact(c(0, 1, 5.0, 6.0));
-        for k in 0..20 {
-            let s = 10.0 + f64::from(k) * 10.0;
-            builder = builder.contact(c(1, 2, s, s + 1.0));
-        }
-        // Requester 3 meets node 1 late.
-        let trace = builder
-            .contact(c(1, 3, 500.0, 501.0))
-            .contact(c(1, 3, 600.0, 601.0))
-            .build()
-            .unwrap();
-        let catalog = one_item_catalog(0);
-        let config = CachingConfig {
-            ncl: NclConfig::new(1),
-            ..CachingConfig::default()
-        };
-        let queries = QueryWorkload::new(vec![Query {
-            issued: t(400.0),
-            requester: NodeId(3),
-            item: DataItemId(0),
-        }]);
-        let report = CachingSimulator::new(config).run(&trace, &catalog, &queries);
-        assert_eq!(
-            report.satisfied, 1,
-            "query should be answered by cached copy"
-        );
-        // Node 1 (the NCL or an opportunistic cacher) holds the item.
-        assert!(report.cachers_per_item[0].len() >= 2);
-    }
+    use crate::item::DataItem;
 
     #[test]
     fn message_sizes_resolve_against_the_catalog() {
-        let catalog = one_item_catalog(0); // item size 100
+        let catalog = Catalog::new(vec![DataItem::new(
+            DataItemId(0),
+            NodeId(0),
+            100,
+            SimDuration::from_secs(1000.0),
+            SimDuration::from_secs(1e6),
+        )]);
         let item = catalog.item(DataItemId(0));
         let default = MessageSizes::default();
         assert_eq!(default.data_bytes(item), 100);
@@ -973,166 +743,5 @@ mod tests {
         };
         assert_eq!(fixed.data_bytes(item), 5000);
         assert_eq!(fixed.response_bytes(item), 5064);
-    }
-
-    #[test]
-    fn queries_expire_at_deadline() {
-        let trace = TraceBuilder::new(3)
-            .contact(c(1, 2, 5000.0, 5001.0))
-            .build()
-            .unwrap();
-        let catalog = one_item_catalog(0);
-        let config = CachingConfig {
-            query_deadline: SimDuration::from_secs(100.0),
-            ..CachingConfig::default()
-        };
-        let queries = QueryWorkload::new(vec![Query {
-            issued: t(0.0),
-            requester: NodeId(1),
-            item: DataItemId(0),
-        }]);
-        let report = CachingSimulator::new(config).run(&trace, &catalog, &queries);
-        assert_eq!(report.satisfied, 0);
-    }
-
-    #[test]
-    fn end_to_end_on_synthetic_trace() {
-        use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
-        let factory = RngFactory::new(42);
-        let trace = generate_pairwise(
-            &PairwiseConfig::new(20, SimDuration::from_days(2.0)).mean_rate(1.0 / 3600.0),
-            &factory,
-        );
-        let catalog = Catalog::uniform(&trace, 8, SimDuration::from_hours(8.0), &factory);
-        let queries = QueryWorkload::zipf(&trace, &catalog, 300, 1.0, &factory);
-        let report =
-            CachingSimulator::new(CachingConfig::default()).run(&trace, &catalog, &queries);
-        assert!(report.created == 300);
-        assert!(
-            report.success_ratio() > 0.3,
-            "success ratio {}",
-            report.success_ratio()
-        );
-        assert!(report.transmissions > 0);
-        // Every item is cached at least at its source.
-        for cachers in &report.cachers_per_item {
-            assert!(!cachers.is_empty());
-        }
-    }
-
-    #[test]
-    fn alternate_policies_run_end_to_end() {
-        use crate::policy::{Lfu, Utility};
-        use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
-        let factory = RngFactory::new(21);
-        let trace = generate_pairwise(
-            &PairwiseConfig::new(18, SimDuration::from_days(2.0)).mean_rate(1.0 / 3600.0),
-            &factory,
-        );
-        // Tight caches force evictions so the policies actually act.
-        let config = CachingConfig {
-            cache_capacity: 2,
-            ..CachingConfig::default()
-        };
-        let catalog = Catalog::uniform(&trace, 10, SimDuration::from_hours(6.0), &factory);
-        let queries = QueryWorkload::zipf(&trace, &catalog, 250, 1.2, &factory);
-        let sim = CachingSimulator::new(config);
-        let lfu = sim.run_with_policy(&trace, &catalog, &queries, &Lfu);
-        let utility = sim.run_with_policy(&trace, &catalog, &queries, &Utility);
-        for r in [&lfu, &utility] {
-            assert_eq!(r.created, 250);
-            assert!(r.success_ratio() > 0.1, "{}", r.success_ratio());
-        }
-    }
-
-    #[test]
-    fn deterministic() {
-        use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
-        let factory = RngFactory::new(9);
-        let trace = generate_pairwise(
-            &PairwiseConfig::new(15, SimDuration::from_days(1.0)).mean_rate(1.0 / 1800.0),
-            &factory,
-        );
-        let catalog = Catalog::uniform(&trace, 5, SimDuration::from_hours(4.0), &factory);
-        let queries = QueryWorkload::zipf(&trace, &catalog, 100, 1.0, &factory);
-        let sim = CachingSimulator::new(CachingConfig::default());
-        let r1 = sim.run(&trace, &catalog, &queries);
-        let r2 = sim.run(&trace, &catalog, &queries);
-        assert_eq!(r1.satisfied, r2.satisfied);
-        assert_eq!(r1.transmissions, r2.transmissions);
-        assert_eq!(r1.cachers_per_item, r2.cachers_per_item);
-    }
-
-    fn fault_scenario() -> (omn_contacts::ContactTrace, Catalog, QueryWorkload) {
-        use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
-        let factory = RngFactory::new(33);
-        let trace = generate_pairwise(
-            &PairwiseConfig::new(16, SimDuration::from_days(2.0)).mean_rate(1.0 / 3600.0),
-            &factory,
-        );
-        let catalog = Catalog::uniform(&trace, 6, SimDuration::from_hours(8.0), &factory);
-        let queries = QueryWorkload::zipf(&trace, &catalog, 200, 1.0, &factory);
-        (trace, catalog, queries)
-    }
-
-    #[test]
-    fn zero_fault_plan_is_bit_identical_to_no_plan() {
-        let (trace, catalog, queries) = fault_scenario();
-        let free = CachingSimulator::new(CachingConfig::default()).run(&trace, &catalog, &queries);
-        let zeroed = CachingSimulator::new(CachingConfig {
-            faults: Some(omn_contacts::faults::FaultConfig::default()),
-            ..CachingConfig::default()
-        })
-        .run_seeded(&trace, &catalog, &queries, &RngFactory::new(33));
-        assert_eq!(free.satisfied, zeroed.satisfied);
-        assert_eq!(free.local_hits, zeroed.local_hits);
-        assert_eq!(free.transmissions, zeroed.transmissions);
-        assert_eq!(free.cachers_per_item, zeroed.cachers_per_item);
-        assert_eq!(zeroed.extras.get("down-contacts"), 0);
-        assert_eq!(zeroed.extras.get("failed-transmissions"), 0);
-    }
-
-    #[test]
-    fn total_transmission_loss_leaves_only_local_hits() {
-        let (trace, catalog, queries) = fault_scenario();
-        let report = CachingSimulator::new(CachingConfig {
-            faults: Some(omn_contacts::faults::FaultConfig {
-                transmission_loss: 1.0,
-                ..omn_contacts::faults::FaultConfig::default()
-            }),
-            ..CachingConfig::default()
-        })
-        .run_seeded(&trace, &catalog, &queries, &RngFactory::new(33));
-        // Every hop fails: nothing remote can ever be satisfied, and every
-        // counted transmission is a failed one.
-        assert_eq!(report.satisfied, report.local_hits);
-        assert_eq!(
-            report.extras.get("failed-transmissions"),
-            report.transmissions
-        );
-    }
-
-    #[test]
-    fn churn_suppresses_contacts() {
-        let (trace, catalog, queries) = fault_scenario();
-        let churned = CachingSimulator::new(CachingConfig {
-            faults: Some(omn_contacts::faults::FaultConfig {
-                downtime: Some(omn_contacts::faults::DowntimeConfig {
-                    node_fraction: 1.0,
-                    mean_uptime: SimDuration::from_hours(4.0),
-                    mean_downtime: SimDuration::from_hours(4.0),
-                    exempt: None,
-                }),
-                ..omn_contacts::faults::FaultConfig::default()
-            }),
-            ..CachingConfig::default()
-        })
-        .run_seeded(&trace, &catalog, &queries, &RngFactory::new(33));
-        // Heavy churn suppresses a substantial share of contacts; the run
-        // stays internally consistent.
-        assert!(churned.extras.get("down-contacts") > 0);
-        assert!(churned.satisfied <= churned.created);
-        assert!(churned.local_hits <= churned.satisfied);
-        assert_eq!(churned.delays.len(), churned.satisfied);
     }
 }

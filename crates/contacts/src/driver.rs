@@ -30,7 +30,7 @@
 //! The driver lives in `omn-contacts` rather than `omn-sim` because it is
 //! the contact-shaped half of the substrate: `omn-sim` owns the generic
 //! kernel ([`Engine`](omn_sim::Engine), [`EventClass`](omn_sim::EventClass),
-//! [`World`](omn_sim::World)) and knows nothing about [`Contact`]s or fault
+//! [`SimWorld`](omn_sim::SimWorld)) and knows nothing about [`Contact`]s or fault
 //! plans, while this crate owns both.
 
 use std::collections::VecDeque;

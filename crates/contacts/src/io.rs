@@ -227,65 +227,13 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<ContactTrace, TraceIoError> {
     for (idx, line) in r.lines().enumerate() {
         let line_no = idx + 1;
         let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+        let Some(fields) = v1_fields(&line) else {
             continue;
-        }
-        let mut parts = line.split_whitespace();
-        let head = parts.next().expect("non-empty line has a first token");
-        match head {
-            "nodes" => {
-                let v = parts
-                    .next()
-                    .ok_or_else(|| parse_err(line_no, ParseErrorKind::Missing("node count")))?;
-                nodes = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| parse_err(line_no, number_kind("node count", v)))?,
-                );
-            }
-            "span" => {
-                let v = parts
-                    .next()
-                    .ok_or_else(|| parse_err(line_no, ParseErrorKind::Missing("span")))?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| parse_err(line_no, number_kind("span", v)))?;
-                span = Some(
-                    SimTime::try_from_secs(secs)
-                        .map_err(|e| parse_err(line_no, time_kind("span", &e)))?,
-                );
-            }
-            _ => {
-                let fields: Vec<&str> = std::iter::once(head).chain(parts).collect();
-                if fields.len() != 4 {
-                    return Err(parse_err(
-                        line_no,
-                        ParseErrorKind::FieldCount {
-                            expected: "`a b start end`",
-                            got: fields.len(),
-                        },
-                    ));
-                }
-                let a: u32 = fields[0]
-                    .parse()
-                    .map_err(|_| parse_err(line_no, number_kind("node id", fields[0])))?;
-                let b: u32 = fields[1]
-                    .parse()
-                    .map_err(|_| parse_err(line_no, number_kind("node id", fields[1])))?;
-                let start: f64 = fields[2]
-                    .parse()
-                    .map_err(|_| parse_err(line_no, number_kind("start", fields[2])))?;
-                let end: f64 = fields[3]
-                    .parse()
-                    .map_err(|_| parse_err(line_no, number_kind("end", fields[3])))?;
-                let start = SimTime::try_from_secs(start)
-                    .map_err(|e| parse_err(line_no, time_kind("start", &e)))?;
-                let end = SimTime::try_from_secs(end)
-                    .map_err(|e| parse_err(line_no, time_kind("end", &e)))?;
-                let contact = Contact::new(NodeId(a), NodeId(b), start, end)
-                    .map_err(|e| parse_err(line_no, ParseErrorKind::Contact(e)))?;
-                contacts.push(contact);
-            }
+        };
+        match parse_header(line_no, &fields)? {
+            Some(Header::Nodes(n)) => nodes = Some(n),
+            Some(Header::Span(s)) => span = Some(s),
+            None => contacts.push(parse_contact(line_no, &fields, None)?),
         }
     }
 
@@ -297,6 +245,103 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<ContactTrace, TraceIoError> {
     builder
         .build()
         .map_err(|e| TraceIoError::Invalid(e.to_string()))
+}
+
+/// The whitespace-separated fields of a v1 line, or `None` for a blank or
+/// comment line.
+fn v1_fields(line: &str) -> Option<Vec<&str>> {
+    let line = line.trim();
+    (!line.is_empty() && !line.starts_with('#')).then(|| line.split_whitespace().collect())
+}
+
+/// A `nodes` or `span` header of the v1 format.
+enum Header {
+    Nodes(usize),
+    Span(SimTime),
+}
+
+/// Parses a v1 line's fields as a header, or returns `None` when the first
+/// field is not a header keyword.
+fn parse_header(line_no: usize, fields: &[&str]) -> Result<Option<Header>, TraceIoError> {
+    let value = |field| {
+        fields
+            .get(1)
+            .copied()
+            .ok_or_else(|| parse_err(line_no, ParseErrorKind::Missing(field)))
+    };
+    let header = match fields[0] {
+        "nodes" => {
+            let v = value("node count")?;
+            let n = v
+                .parse::<usize>()
+                .map_err(|_| parse_err(line_no, number_kind("node count", v)))?;
+            Header::Nodes(n)
+        }
+        "span" => {
+            let v = value("span")?;
+            let secs = v
+                .parse::<f64>()
+                .map_err(|_| parse_err(line_no, number_kind("span", v)))?;
+            Header::Span(
+                SimTime::try_from_secs(secs)
+                    .map_err(|e| parse_err(line_no, time_kind("span", &e)))?,
+            )
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some(header))
+}
+
+/// Parses the fields of an `a b start end` contact line. With `bounds`
+/// (the declared population and span), node ids outside the population
+/// and contacts ending past the span are rejected as well.
+fn parse_contact(
+    line_no: usize,
+    fields: &[&str],
+    bounds: Option<(usize, SimTime)>,
+) -> Result<Contact, TraceIoError> {
+    if fields.len() != 4 {
+        return Err(parse_err(
+            line_no,
+            ParseErrorKind::FieldCount {
+                expected: "`a b start end`",
+                got: fields.len(),
+            },
+        ));
+    }
+    let a: u32 = fields[0]
+        .parse()
+        .map_err(|_| parse_err(line_no, number_kind("node id", fields[0])))?;
+    let b: u32 = fields[1]
+        .parse()
+        .map_err(|_| parse_err(line_no, number_kind("node id", fields[1])))?;
+    if let Some((nodes, _)) = bounds {
+        for id in [a, b] {
+            if id as usize >= nodes {
+                return Err(parse_err(
+                    line_no,
+                    ParseErrorKind::NodeOutOfRange {
+                        id: u64::from(id),
+                        limit: nodes,
+                    },
+                ));
+            }
+        }
+    }
+    let start: f64 = fields[2]
+        .parse()
+        .map_err(|_| parse_err(line_no, number_kind("start", fields[2])))?;
+    let end: f64 = fields[3]
+        .parse()
+        .map_err(|_| parse_err(line_no, number_kind("end", fields[3])))?;
+    let start =
+        SimTime::try_from_secs(start).map_err(|e| parse_err(line_no, time_kind("start", &e)))?;
+    let end = SimTime::try_from_secs(end).map_err(|e| parse_err(line_no, time_kind("end", &e)))?;
+    if bounds.is_some_and(|(_, span)| end > span) {
+        return Err(parse_err(line_no, ParseErrorKind::PastSpan));
+    }
+    Contact::new(NodeId(a), NodeId(b), start, end)
+        .map_err(|e| parse_err(line_no, ParseErrorKind::Contact(e)))
 }
 
 fn parse_err(line: usize, kind: ParseErrorKind) -> TraceIoError {
@@ -362,36 +407,13 @@ impl<R: BufRead> StreamingTraceSource<R> {
             };
             line_no += 1;
             let line = line?;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
+            let Some(fields) = v1_fields(&line) else {
                 continue;
-            }
-            let mut parts = line.split_whitespace();
-            match parts.next().expect("non-empty line has a first token") {
-                "nodes" => {
-                    let v = parts
-                        .next()
-                        .ok_or_else(|| parse_err(line_no, ParseErrorKind::Missing("node count")))?;
-                    nodes = Some(
-                        v.parse::<usize>()
-                            .map_err(|_| parse_err(line_no, number_kind("node count", v)))?,
-                    );
-                }
-                "span" => {
-                    let v = parts
-                        .next()
-                        .ok_or_else(|| parse_err(line_no, ParseErrorKind::Missing("span")))?;
-                    let secs = v
-                        .parse::<f64>()
-                        .map_err(|_| parse_err(line_no, number_kind("span", v)))?;
-                    span = Some(
-                        SimTime::try_from_secs(secs)
-                            .map_err(|e| parse_err(line_no, time_kind("span", &e)))?,
-                    );
-                }
-                _ => {
-                    return Err(parse_err(line_no, ParseErrorKind::HeaderFirst));
-                }
+            };
+            match parse_header(line_no, &fields)? {
+                Some(Header::Nodes(n)) => nodes = Some(n),
+                Some(Header::Span(s)) => span = Some(s),
+                None => return Err(parse_err(line_no, ParseErrorKind::HeaderFirst)),
             }
         }
         Ok(StreamingTraceSource {
@@ -408,52 +430,6 @@ impl<R: BufRead> StreamingTraceSource<R> {
     #[must_use]
     pub fn error(&self) -> Option<&TraceIoError> {
         self.error.as_ref()
-    }
-
-    fn parse_contact(&mut self, line: &str) -> Result<Contact, TraceIoError> {
-        let line_no = self.line_no;
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 4 {
-            return Err(parse_err(
-                line_no,
-                ParseErrorKind::FieldCount {
-                    expected: "`a b start end`",
-                    got: fields.len(),
-                },
-            ));
-        }
-        let a: u32 = fields[0]
-            .parse()
-            .map_err(|_| parse_err(line_no, number_kind("node id", fields[0])))?;
-        let b: u32 = fields[1]
-            .parse()
-            .map_err(|_| parse_err(line_no, number_kind("node id", fields[1])))?;
-        for id in [a, b] {
-            if id as usize >= self.nodes {
-                return Err(parse_err(
-                    line_no,
-                    ParseErrorKind::NodeOutOfRange {
-                        id: u64::from(id),
-                        limit: self.nodes,
-                    },
-                ));
-            }
-        }
-        let start: f64 = fields[2]
-            .parse()
-            .map_err(|_| parse_err(line_no, number_kind("start", fields[2])))?;
-        let end: f64 = fields[3]
-            .parse()
-            .map_err(|_| parse_err(line_no, number_kind("end", fields[3])))?;
-        let start = SimTime::try_from_secs(start)
-            .map_err(|e| parse_err(line_no, time_kind("start", &e)))?;
-        let end =
-            SimTime::try_from_secs(end).map_err(|e| parse_err(line_no, time_kind("end", &e)))?;
-        if end > self.span {
-            return Err(parse_err(line_no, ParseErrorKind::PastSpan));
-        }
-        Contact::new(NodeId(a), NodeId(b), start, end)
-            .map_err(|e| parse_err(line_no, ParseErrorKind::Contact(e)))
     }
 }
 
@@ -481,11 +457,10 @@ impl<R: BufRead> ContactSource for StreamingTraceSource<R> {
                     break;
                 }
             };
-            let line = line.trim().to_owned();
-            if line.is_empty() || line.starts_with('#') {
+            let Some(fields) = v1_fields(&line) else {
                 continue;
-            }
-            match self.parse_contact(&line) {
+            };
+            match parse_contact(self.line_no, &fields, Some((self.nodes, self.span))) {
                 Ok(c) => return Some(c),
                 Err(e) => {
                     self.error = Some(e);

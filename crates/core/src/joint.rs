@@ -27,12 +27,37 @@
 //!   are evicted and re-pulled from the source
 //!   ([`CachingRun::demote_stale`]).
 //!
-//! Each layer standalone is a special case: with
-//! [`JointConfig::freshness`] `None` the joint run is bit-identical to
-//! [`omn_caching::CachingSimulator`], and with an empty query workload, no
-//! faults, no budget cap and demotion off, each freshness participant is
-//! bit-identical to [`crate::sim::FreshnessSimulator::run_with_roles`]
-//! over the same roles (both invariants are regression-tested).
+//! Each layer alone is a special case. With [`JointConfig::freshness`]
+//! `None` the joint world *is* the caching-layer run — there is no other
+//! driver of [`CachingRun`] — and E9's data-access campaign runs through
+//! it. With an empty query workload, no faults, no budget cap and demotion
+//! off, each freshness participant is bit-identical to
+//! [`crate::sim::FreshnessSimulator::run_with_roles`] over the same roles
+//! (regression-tested).
+//!
+//! # Example
+//!
+//! The caching layer alone on a small Infocom-like trace:
+//!
+//! ```
+//! use omn_caching::Catalog;
+//! use omn_caching::query::QueryWorkload;
+//! use omn_contacts::synth::presets::TracePreset;
+//! use omn_core::joint::{JointConfig, JointSimulator};
+//! use omn_sim::{RngFactory, SimDuration};
+//!
+//! let factory = RngFactory::new(7);
+//! let trace = TracePreset::InfocomLike.generate_small(&factory);
+//! let catalog = Catalog::uniform(&trace, 10, SimDuration::from_hours(6.0), &factory);
+//! let queries = QueryWorkload::zipf(&trace, &catalog, 200, 1.0, &factory);
+//! let access = JointSimulator::new(JointConfig {
+//!     freshness: None,
+//!     ..JointConfig::default()
+//! })
+//! .run(&trace, &catalog, &queries, &factory)
+//! .access;
+//! assert!(access.success_ratio() > 0.0);
+//! ```
 
 use omn_caching::policy::PolicyChoice;
 use omn_caching::query::QueryWorkload;
@@ -52,9 +77,9 @@ use crate::sim::{
     SchemeChoice,
 };
 
-/// Delivery class for contact events, shared with both layers' standalone
-/// loops: freshness timers (classes 10–50) and query issues (20) settle
-/// before the exchange, query deadlines (200) after it.
+/// Delivery class for contact events, shared with the freshness-only loop:
+/// freshness timers (classes 10–50) and query issues (20) settle before
+/// the exchange, query deadlines (200) after it.
 const CLASS_CONTACT: EventClass = EventClass(60);
 
 /// Who transmits first when a budgeted contact cannot carry everything.
@@ -73,20 +98,19 @@ pub enum ContentionPriority {
 /// Joint-world parameters.
 ///
 /// The fault plan of the shared contact substrate comes from
-/// [`JointConfig::faults`]; the per-layer `faults` fields inside
-/// [`CachingConfig`] and [`FreshnessConfig`] are ignored here (a joint
-/// world has exactly one driver).
+/// [`JointConfig::faults`]; [`FreshnessConfig::faults`] is ignored here (a
+/// joint world has exactly one driver).
 #[derive(Debug, Clone)]
 pub struct JointConfig {
     /// Caching-layer parameters (NCL selection, capacities, deadline).
     pub caching: CachingConfig,
     /// Freshness-layer parameters, or `None` to run the caching layer
-    /// alone (bit-identical to the standalone caching simulator).
+    /// alone.
     pub freshness: Option<FreshnessConfig>,
     /// The refresh scheme every item's freshness participant runs.
     pub scheme: SchemeChoice,
     /// Per-contact transfer budget shared by both layers (`None` =
-    /// unlimited, the standalone semantics).
+    /// unlimited).
     pub contact_budget: Option<u32>,
     /// Link model: each contact's budget additionally carries a byte
     /// capacity of `bandwidth × contact duration`, which sized refresh
@@ -101,7 +125,8 @@ pub struct JointConfig {
     /// Whether cache placement demotes replicas lagging the current
     /// version by more than one and re-pulls them from the source.
     pub demote_stale: bool,
-    /// Fault injection for the shared contact substrate.
+    /// Fault injection for the shared contact substrate: the one fault
+    /// knob of a joint world.
     pub faults: Option<FaultConfig>,
 }
 
@@ -210,8 +235,8 @@ impl JointSimulator {
     /// Freshness roles per item mirror [`FreshnessSimulator::run_catalog`]
     /// over the NCL set: item `i`'s members are the NCLs minus its source
     /// (items with no member are skipped), and each participant draws from
-    /// an independent child RNG stream keyed by the item id, so
-    /// one-layer-disabled joint runs reproduce the standalone simulators
+    /// an independent child RNG stream keyed by the item id, so a joint
+    /// run without caching traffic reproduces the freshness-only simulator
     /// bit for bit.
     #[must_use]
     pub fn run(
@@ -235,7 +260,7 @@ impl JointSimulator {
             .freshness
             .as_ref()
             .map_or_else(OracleMode::from_env, |fc| fc.oracle_mode);
-        let mut world = SimWorld::new(driver.node_count(), *factory);
+        let mut world = SimWorld::new();
         world.set_oracle_sink(OracleSink::new(oracle_mode));
         if oracle_mode != OracleMode::Off {
             world.install_oracle(Box::new(BudgetOracle::new()));
@@ -286,9 +311,9 @@ impl JointSimulator {
             }
         }
 
-        // Schedule in the standalone order: each layer's timers, then the
-        // contact stream (same-instant ties are broken by event class, so
-        // only within-class FIFO matters).
+        // Schedule each layer's timers, then the contact stream (same-instant
+        // ties are broken by event class, so only within-class FIFO
+        // matters).
         for (pi, timers) in part_timers.into_iter().enumerate() {
             for (t, timer) in timers {
                 engine.schedule_at_class(t, timer.class(), JointEvent::Freshness(pi, timer));
@@ -300,8 +325,7 @@ impl JointSimulator {
         driver.begin(&mut engine, CLASS_CONTACT, JointEvent::Contact);
 
         for (pi, p) in parts.iter_mut().enumerate() {
-            p.run
-                .on_start(schemes[pi].as_mut(), driver.plan_mut(), None);
+            p.run.on_start(schemes[pi].as_mut(), driver.plan_mut());
         }
 
         let mut max_contact_used = 0u32;
@@ -309,42 +333,26 @@ impl JointSimulator {
         while let Some(ev) = engine.next_event() {
             let now = ev.time;
             match ev.payload {
-                JointEvent::Caching(CachingTimer::QueryIssue(qid)) => {
-                    if let Some((due, timer)) = caching.on_query_issue(qid) {
+                JointEvent::Caching(timer) => {
+                    if let Some((due, timer)) = caching.on_timer(timer) {
                         engine.schedule_at_class(due, timer.class(), JointEvent::Caching(timer));
                     }
                 }
-                JointEvent::Caching(CachingTimer::QueryDeadline(qid)) => {
-                    caching.on_query_deadline(qid);
-                }
-                JointEvent::Freshness(pi, FreshnessTimer::Birth(v)) => {
-                    let item = parts[pi].item;
+                JointEvent::Freshness(pi, timer) => {
                     parts[pi]
                         .run
-                        .on_birth(v, now, schemes[pi].as_mut(), driver.plan_mut(), None);
-                    // Cache placement observes the birth: copies in caches
-                    // are now stale.
-                    caching.set_version(item, v);
-                    if self.config.demote_stale {
-                        let (demoted, repulls) = caching.demote_stale(item, v);
-                        extras.add("stale-demotions", demoted);
-                        extras.add("stale-repull-placements", repulls);
+                        .on_timer(timer, now, schemes[pi].as_mut(), driver.plan_mut());
+                    if let FreshnessTimer::Birth(v) = timer {
+                        // Cache placement observes the birth: copies in
+                        // caches are now stale.
+                        let item = parts[pi].item;
+                        caching.set_version(item, v);
+                        if self.config.demote_stale {
+                            let (demoted, repulls) = caching.demote_stale(item, v);
+                            extras.add("stale-demotions", demoted);
+                            extras.add("stale-repull-placements", repulls);
+                        }
                     }
-                }
-                JointEvent::Freshness(pi, FreshnessTimer::Query(i)) => parts[pi].run.on_query(i),
-                JointEvent::Freshness(pi, FreshnessTimer::Expiry(i)) => parts[pi].run.on_expiry(i),
-                JointEvent::Freshness(pi, FreshnessTimer::Rejoin(n, lost)) => {
-                    parts[pi].run.on_rejoin(
-                        n,
-                        lost,
-                        now,
-                        schemes[pi].as_mut(),
-                        driver.plan_mut(),
-                        None,
-                    );
-                }
-                JointEvent::Freshness(pi, FreshnessTimer::LaggedObs(a, b, seen)) => {
-                    parts[pi].run.on_lagged_obs(a, b, seen);
                 }
                 JointEvent::Contact(ci) => {
                     driver.advance(ci, &mut engine, CLASS_CONTACT, JointEvent::Contact);
@@ -501,12 +509,7 @@ impl JointSimulator {
         let freshness: Vec<(DataItemId, FreshnessReport)> = parts
             .into_iter()
             .zip(schemes.iter_mut())
-            .map(|(p, scheme)| {
-                (
-                    p.item,
-                    p.run.finish(scheme.as_mut(), driver.plan_mut(), None),
-                )
-            })
+            .map(|(p, scheme)| (p.item, p.run.finish(scheme.as_mut(), driver.plan_mut())))
             .collect();
         let access = caching.finish(trace.span(), extras);
         world.advance_to(trace.span());

@@ -546,7 +546,7 @@ pub(crate) mod testutil {
                 refresh_bytes: 0,
                 queues: None,
                 world: {
-                    let mut w = SimWorld::new(oracle_nodes, omn_sim::RngFactory::new(1));
+                    let mut w = SimWorld::new();
                     w.set_oracle_sink(omn_sim::OracleSink::new(OracleMode::Campaign));
                     w
                 },

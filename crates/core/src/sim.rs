@@ -17,9 +17,10 @@
 //! the next contact.
 //!
 //! The run executes on the shared `omn-sim` event kernel: a
-//! [`ContactDriver`] primes an [`Engine`] with one event per contact, and
-//! version births, queries, expiry instants, churn rejoins and lagged
-//! estimator observations are first-class scheduled events. Same-instant
+//! [`ContactDriver`] pulls the contact stream into an [`Engine`] one event
+//! at a time (each contact event schedules the next), and version births,
+//! queries, expiry instants, churn rejoins and lagged estimator
+//! observations are first-class scheduled events. Same-instant
 //! events are ordered by [`EventClass`] (births before queries before
 //! expiries before rejoins before observations before contacts), which
 //! fixes the causal conventions the old hand-rolled loop encoded
@@ -654,19 +655,11 @@ impl FreshnessSimulator {
         }
         driver.begin(&mut engine, CLASS_CONTACT, FreshnessEvent::Contact);
 
-        run.on_start(scheme, driver.plan_mut(), None);
+        run.on_start(scheme, driver.plan_mut());
         while let Some(ev) = engine.next_event() {
             match ev.payload {
-                FreshnessEvent::Timer(FreshnessTimer::Birth(v)) => {
-                    run.on_birth(v, ev.time, scheme, driver.plan_mut(), None);
-                }
-                FreshnessEvent::Timer(FreshnessTimer::Query(i)) => run.on_query(i),
-                FreshnessEvent::Timer(FreshnessTimer::Expiry(i)) => run.on_expiry(i),
-                FreshnessEvent::Timer(FreshnessTimer::Rejoin(n, lost)) => {
-                    run.on_rejoin(n, lost, ev.time, scheme, driver.plan_mut(), None);
-                }
-                FreshnessEvent::Timer(FreshnessTimer::LaggedObs(a, b, seen)) => {
-                    run.on_lagged_obs(a, b, seen);
+                FreshnessEvent::Timer(timer) => {
+                    run.on_timer(timer, ev.time, scheme, driver.plan_mut());
                 }
                 FreshnessEvent::Contact(ci) => {
                     driver.advance(ci, &mut engine, CLASS_CONTACT, FreshnessEvent::Contact);
@@ -684,7 +677,7 @@ impl FreshnessSimulator {
             contacts_total: driver.contacts_pulled(),
             peak_resident: driver.peak_resident(),
         };
-        (run.finish(scheme, driver.plan_mut(), None), stats)
+        (run.finish(scheme, driver.plan_mut()), stats)
     }
 }
 
@@ -703,16 +696,15 @@ pub struct StreamStats {
 
 /// One freshness participant: the complete per-item state of a freshness
 /// run (member caches, receipts, rate estimators, workload, counters),
-/// with one handler per event class.
+/// with one entry point for timers ([`FreshnessRun::on_timer`]) and one
+/// for contacts ([`FreshnessRun::on_contact`]).
 ///
-/// Extracted from the standalone simulator loop so that a joint
-/// multi-layer world ([`crate::joint`]) can drive many participants — and
-/// a cooperative-caching layer — from a single engine over one shared
-/// contact stream, with refresh transmissions drawing on a per-contact
-/// [`TransferBudget`]. The standalone
-/// [`FreshnessSimulator::run_with_roles`] is a thin driving loop around
-/// this struct and passes `budget: None` everywhere, which is bit-identical
-/// to the pre-extraction simulator.
+/// Two loops drive it. The joint world ([`crate::joint`]) drives many
+/// participants — and the cooperative-caching layer — from a single
+/// engine over one shared contact stream, with refresh transmissions
+/// drawing on a per-contact [`TransferBudget`]. The freshness-only loop
+/// behind [`FreshnessSimulator::run_with_roles`] drives one participant
+/// and passes no budget.
 #[derive(Debug)]
 pub struct FreshnessRun<'a> {
     source: NodeId,
@@ -758,7 +750,7 @@ pub struct FreshnessRun<'a> {
 impl<'a> FreshnessRun<'a> {
     /// Builds a participant plus the initial timers its driving loop must
     /// schedule (member rejoins, copy expiries, query issues, version
-    /// births — contact events are primed by the caller from the shared
+    /// births — contact events come from the caller's shared
     /// [`ContactDriver`]). Each timer goes into the class
     /// [`FreshnessTimer::class`] reports.
     ///
@@ -857,7 +849,7 @@ impl<'a> FreshnessRun<'a> {
         // birth-timer liveness are watched on every run (campaign mode is
         // counters-only; strict panics at the first violation; off skips
         // installation so the dispatch hooks are no-ops).
-        let mut world = SimWorld::new(node_count, *factory);
+        let mut world = SimWorld::new();
         world.set_oracle_sink(OracleSink::new(config.oracle_mode));
         if config.oracle_mode != OracleMode::Off {
             world.install_oracle(Box::new(VersionOrderOracle::new()));
@@ -983,29 +975,41 @@ impl<'a> FreshnessRun<'a> {
     }
 
     /// Delivers the scheme's start hook (once, before any event).
-    pub fn on_start(
+    pub fn on_start(&mut self, scheme: &mut dyn RefreshScheme, faults: Option<&mut FaultPlan>) {
+        scheme.on_start(&mut self.ctx(SimTime::ZERO, faults, None));
+    }
+
+    /// Handles a timer firing at `now`. Timer hooks of the scheme run
+    /// without a transfer budget: only contacts carry one.
+    pub fn on_timer(
         &mut self,
+        timer: FreshnessTimer,
+        now: SimTime,
         scheme: &mut dyn RefreshScheme,
         faults: Option<&mut FaultPlan>,
-        budget: Option<&mut TransferBudget>,
     ) {
-        scheme.on_start(&mut self.ctx(SimTime::ZERO, faults, budget));
+        match timer {
+            FreshnessTimer::Birth(v) => self.on_birth(v, now, scheme, faults),
+            FreshnessTimer::Query(i) => self.on_query(i),
+            FreshnessTimer::Expiry(i) => self.on_expiry(i),
+            FreshnessTimer::Rejoin(n, lost) => self.on_rejoin(n, lost, now, scheme, faults),
+            FreshnessTimer::LaggedObs(a, b, seen) => self.rates.record_contact(a, b, seen),
+        }
     }
 
     /// Handles the birth of version `v` at `now`.
-    pub fn on_birth(
+    fn on_birth(
         &mut self,
         v: u64,
         now: SimTime,
         scheme: &mut dyn RefreshScheme,
         faults: Option<&mut FaultPlan>,
-        budget: Option<&mut TransferBudget>,
     ) {
         self.current_version = v;
         self.world.advance_to(now);
         self.world.oracle_timer("birth");
         if self.in_contact_range(now) {
-            scheme.on_version_birth(v, &mut self.ctx(now, faults, budget));
+            scheme.on_version_birth(v, &mut self.ctx(now, faults, None));
         }
         let fresh = self
             .member_versions
@@ -1018,7 +1022,7 @@ impl<'a> FreshnessRun<'a> {
     /// Handles the issue of query `i`: members and the source serve
     /// themselves immediately; everyone else waits for a contact with a
     /// server.
-    pub fn on_query(&mut self, i: usize) {
+    fn on_query(&mut self, i: usize) {
         let (issued, node) = self.queries[i];
         let self_version = if node == self.source {
             Some(self.current_version)
@@ -1043,7 +1047,7 @@ impl<'a> FreshnessRun<'a> {
     }
 
     /// Handles the `i`-th copy-expiry instant.
-    pub fn on_expiry(&mut self, i: usize) {
+    fn on_expiry(&mut self, i: usize) {
         let te = self.expiries[i];
         let ratio = self.avail_ratio(te);
         self.avail.update(te, ratio);
@@ -1055,14 +1059,13 @@ impl<'a> FreshnessRun<'a> {
     /// scheme to rebuild the node's protocol state — the oracle world is
     /// notified first, so the monotonicity watermark resets and the
     /// re-absorption of older versions registers as legitimate recovery.
-    pub fn on_rejoin(
+    fn on_rejoin(
         &mut self,
         n: NodeId,
         state_loss: bool,
         now: SimTime,
         scheme: &mut dyn RefreshScheme,
         faults: Option<&mut FaultPlan>,
-        budget: Option<&mut TransferBudget>,
     ) {
         self.extras.add("rejoin-events", 1);
         if state_loss {
@@ -1075,18 +1078,13 @@ impl<'a> FreshnessRun<'a> {
             self.world.oracle_event(&OracleObs::StateLoss {
                 node: u64::from(n.0),
             });
-            scheme.on_state_loss(n, &mut self.ctx(now, faults, budget));
+            scheme.on_state_loss(n, &mut self.ctx(now, faults, None));
         }
         if self.member_versions.get(&n).copied() == Some(self.current_version) {
             self.recovery_delays.record(0.0);
         } else {
             self.pending_recoveries.push((now, n));
         }
-    }
-
-    /// Handles an estimator observation whose reporting lag has elapsed.
-    pub fn on_lagged_obs(&mut self, a: NodeId, b: NodeId, seen: SimTime) {
-        self.rates.record_contact(a, b, seen);
     }
 
     /// Handles a contact between `a` and `b` with the fate the shared
@@ -1220,10 +1218,9 @@ impl<'a> FreshnessRun<'a> {
         mut self,
         scheme: &mut dyn RefreshScheme,
         faults: Option<&mut FaultPlan>,
-        budget: Option<&mut TransferBudget>,
     ) -> FreshnessReport {
         let span = self.span;
-        scheme.on_finish(&mut self.ctx(span, faults, budget));
+        scheme.on_finish(&mut self.ctx(span, faults, None));
         self.world.advance_to(span);
         self.world.oracle_end_of_run();
         let oracle = self.world.take_oracle_report();

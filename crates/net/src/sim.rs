@@ -1,11 +1,11 @@
 //! Trace-driven unicast delivery simulation.
 //!
 //! The simulator is driven by the shared `omn-sim` event kernel: a
-//! [`ContactDriver`] primes an [`Engine`] with one event per contact,
-//! demand creations are first-class scheduled events, and the engine
-//! delivers everything in `(time, class)` order — demands created exactly
-//! at a contact's start instant are injected before the contact is
-//! processed, matching the classic `created <= now` drain. When a
+//! [`ContactDriver`] pulls the contact stream into an [`Engine`] one event
+//! at a time, demand creations are first-class scheduled events, and the
+//! engine delivers everything in `(time, class)` order — demands created
+//! exactly at a contact's start instant are injected before the contact
+//! is processed, matching the classic `created <= now` drain. When a
 //! [`FaultConfig`] is set, contacts whose endpoints are churned out are
 //! suppressed entirely, truncated contacts are sighted by the protocol
 //! (predictability updates) but carry no data, and each attempted transfer
@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 use omn_contacts::faults::FaultConfig;
 use omn_contacts::{ContactDriver, ContactFate, ContactSource, ContactTrace, NodeId};
 use omn_sim::metrics::{Registry, SampleHistogram};
-use omn_sim::{Engine, EventClass, LinkConfig, RngFactory, SimDuration, SimTime, SimWorld, World};
+use omn_sim::{Engine, EventClass, LinkConfig, RngFactory, SimDuration, SimTime, SimWorld};
 
 use crate::buffer::{DropPolicy, MessageBuffer};
 use crate::message::{Message, MessageId};
@@ -227,7 +227,7 @@ impl NetworkSimulator {
         };
 
         let mut driver = ContactDriver::new(trace, self.config.faults, factory);
-        let mut world = SimWorld::new(n, *factory);
+        let mut world = SimWorld::new();
         let mut engine: Engine<NetEvent> = Engine::new();
         let last_contact_start = driver.last_contact_start();
         let in_contact_range = |t: SimTime| last_contact_start.is_some_and(|last| t <= last);

@@ -31,7 +31,7 @@ use omn_core::oracle::{BudgetOracle, TimerLivenessOracle, VersionOrderOracle};
 use omn_core::protocol::{Effect, NodeProtocol, PeerSummary, ProtocolMode, ProtocolMsg, TimerKind};
 use omn_core::{RefreshHierarchy, UpdateSchedule};
 use omn_sim::metrics::Registry;
-use omn_sim::{OracleMode, OracleObs, OracleSink, RngFactory, SimDuration, SimTime, SimWorld};
+use omn_sim::{OracleMode, OracleObs, OracleSink, SimDuration, SimTime, SimWorld};
 
 use crate::chan::{self, Receiver, Sender};
 use crate::codec;
@@ -542,7 +542,6 @@ pub fn run_lockstep<S: ContactSource>(
     members: &[NodeId],
     tree: Option<&RefreshHierarchy>,
     config: &RuntimeConfig,
-    factory: &RngFactory,
 ) -> RuntimeReport {
     let node_count = contacts.node_count();
     let span = contacts.span();
@@ -557,7 +556,7 @@ pub fn run_lockstep<S: ContactSource>(
         events,
     } = network;
 
-    let mut world = SimWorld::new(node_count, *factory);
+    let mut world = SimWorld::new();
     world.set_oracle_sink(OracleSink::new(config.oracle_mode));
     if config.oracle_mode != OracleMode::Off {
         world.install_oracle(Box::new(VersionOrderOracle::new()));

@@ -119,7 +119,6 @@ fn tree_runtime_matches_des_on_pinned_seeds() {
             &members,
             Some(&tree),
             &runtime_config(ProtocolMode::HierTree),
-            &factory,
         );
         assert_reports_match(&rt, &des, &format!("tree seed {seed}"));
         assert!(
@@ -153,7 +152,6 @@ fn epidemic_runtime_matches_des_on_pinned_seeds() {
             &members,
             None,
             &runtime_config(ProtocolMode::Epidemic),
-            &factory,
         );
         assert_reports_match(&rt, &des, &format!("epidemic seed {seed}"));
 
@@ -221,7 +219,7 @@ fn firehose_survives_single_slot_inboxes() {
 
 #[test]
 fn lockstep_runs_are_deterministic() {
-    let (trace, factory) = small_world(7);
+    let (trace, _) = small_world(7);
     let sim = FreshnessSimulator::new(des_config());
     let (root, members) = sim.select_roles(&trace);
     let run = || {
@@ -231,7 +229,6 @@ fn lockstep_runs_are_deterministic() {
             &members,
             None,
             &runtime_config(ProtocolMode::Epidemic),
-            &factory,
         )
     };
     let a = run();

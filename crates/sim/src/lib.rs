@@ -9,8 +9,8 @@
 //!   deterministic [`EventClass`]-then-FIFO tie-breaking.
 //! * [`Engine`] — a virtual clock driving an [`EventQueue`], with an optional
 //!   horizon.
-//! * [`World`] / [`SimWorld`] — the per-run state (node roster, clock, RNG
-//!   streams, metrics registry) every workspace simulator shares.
+//! * [`SimWorld`] — the per-run state (clock mirror, metrics registry,
+//!   invariant oracles) every workspace simulator shares.
 //! * [`RngFactory`] — reproducible, independently seeded random-number
 //!   streams derived from a single master seed, so adding a new source of
 //!   randomness never perturbs existing ones.
@@ -69,4 +69,4 @@ pub use queue::{EventClass, EventQueue};
 pub use rng::{split_mix64, RngFactory};
 pub use shard::{ShardWindow, ShardWorker, ShardedRunner};
 pub use time::{SimDuration, SimTime, TimeError};
-pub use world::{SimWorld, World};
+pub use world::SimWorld;

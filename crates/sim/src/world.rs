@@ -1,78 +1,46 @@
-//! A minimal world abstraction shared by the workspace simulators.
+//! The per-run world state shared by the workspace simulators.
 //!
-//! Every simulator in the workspace — cache freshness, cooperative caching,
-//! opportunistic routing — simulates the same kind of world: a fixed roster
-//! of nodes, a virtual clock, per-purpose deterministic RNG streams, and a
-//! registry of counters accumulated as the run unfolds. The [`World`] trait
-//! names that contract, and [`SimWorld`] is the concrete implementation the
-//! three simulators share.
+//! Every simulator in the workspace — cache freshness, the joint
+//! caching + freshness world, opportunistic routing, the node runtime's
+//! lockstep mode — carries a [`SimWorld`]: a virtual-clock mirror, a
+//! registry of counters accumulated as the run unfolds, and the installed
+//! invariant oracles with their violation sink.
 //!
-//! The trait is deliberately contact-agnostic: `omn-contacts` depends on
+//! The world is deliberately contact-agnostic: `omn-contacts` depends on
 //! this crate, so the contact-feed half of the substrate (the
-//! `ContactDriver`) lives there and composes with a [`World`] rather than
-//! being part of it.
-
-use rand::rngs::StdRng;
+//! `ContactDriver`) lives there and composes with a [`SimWorld`] rather
+//! than being part of it.
 
 use crate::metrics::Registry;
 use crate::oracle::{InvariantOracle, OracleObs, OracleReport, OracleSink};
-use crate::rng::RngFactory;
 use crate::time::SimTime;
 
-/// The state every simulator run carries: node roster, clock, seeded RNG
-/// streams, and a metrics registry.
-pub trait World {
-    /// Number of nodes in the simulated network.
-    fn node_count(&self) -> usize;
-
-    /// The current virtual time of the run.
-    fn now(&self) -> SimTime;
-
-    /// The factory all of this run's RNG streams derive from.
-    fn rng_factory(&self) -> &RngFactory;
-
-    /// The run's counter registry (read side).
-    fn metrics(&self) -> &Registry;
-
-    /// The run's counter registry (write side).
-    fn metrics_mut(&mut self) -> &mut Registry;
-
-    /// A deterministic per-node sub-stream of the named stream.
-    ///
-    /// Equivalent to `rng_factory().stream_indexed(label, node as u64)`;
-    /// provided so protocol code can ask the world for per-node randomness
-    /// without holding the factory directly.
-    fn node_stream(&self, label: &str, node: usize) -> StdRng {
-        self.rng_factory().stream_indexed(label, node as u64)
-    }
-}
-
-/// The concrete [`World`] used by the workspace simulators.
-///
-/// Owns the roster size, the RNG factory for the run, a clock mirror that
-/// the simulator advances alongside its [`Engine`](crate::Engine), and the
-/// registry that collects auxiliary counters (fault events, suppressed
-/// contacts, rejoins, …).
+/// The state every simulator run carries: a clock mirror that the
+/// simulator advances alongside its [`Engine`](crate::Engine), the registry
+/// that collects auxiliary counters (fault events, suppressed contacts,
+/// rejoins, …), and the run's invariant oracles.
 #[derive(Debug)]
 pub struct SimWorld {
-    nodes: usize,
-    factory: RngFactory,
     now: SimTime,
     metrics: Registry,
     oracles: Vec<Box<dyn InvariantOracle>>,
     sink: OracleSink,
 }
 
+impl Default for SimWorld {
+    fn default() -> SimWorld {
+        SimWorld::new()
+    }
+}
+
 impl SimWorld {
-    /// Creates a world of `nodes` nodes at time zero. The oracle sink's
-    /// mode is resolved from `OMN_ORACLE` (see
+    /// Creates a world at time zero. The oracle sink's mode is resolved
+    /// from `OMN_ORACLE` (see
     /// [`OracleMode::from_env`](crate::OracleMode::from_env)); use
     /// [`set_oracle_sink`](SimWorld::set_oracle_sink) to override it.
     #[must_use]
-    pub fn new(nodes: usize, factory: RngFactory) -> SimWorld {
+    pub fn new() -> SimWorld {
         SimWorld {
-            nodes,
-            factory,
             now: SimTime::ZERO,
             metrics: Registry::new(),
             oracles: Vec::new(),
@@ -87,6 +55,11 @@ impl SimWorld {
         if at > self.now {
             self.now = at;
         }
+    }
+
+    /// The run's counter registry.
+    pub fn metrics_mut(&mut self) -> &mut Registry {
+        &mut self.metrics
     }
 
     /// Consumes the world, returning its accumulated metrics registry.
@@ -169,51 +142,19 @@ impl SimWorld {
     }
 }
 
-impl World for SimWorld {
-    fn node_count(&self) -> usize {
-        self.nodes
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn rng_factory(&self) -> &RngFactory {
-        &self.factory
-    }
-
-    fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    fn metrics_mut(&mut self) -> &mut Registry {
-        &mut self.metrics
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
-    fn world_reports_its_roster_and_clock() {
-        let mut w = SimWorld::new(12, RngFactory::new(5));
-        assert_eq!(w.node_count(), 12);
-        assert_eq!(w.now(), SimTime::ZERO);
+    fn world_clock_starts_at_zero_and_never_regresses() {
+        let mut w = SimWorld::new();
+        assert_eq!(w.now, SimTime::ZERO);
         w.advance_to(SimTime::from_secs(10.0));
-        assert_eq!(w.now(), SimTime::from_secs(10.0));
+        assert_eq!(w.now, SimTime::from_secs(10.0));
         // The clock never regresses.
         w.advance_to(SimTime::from_secs(4.0));
-        assert_eq!(w.now(), SimTime::from_secs(10.0));
-    }
-
-    #[test]
-    fn node_streams_match_factory_streams() {
-        let w = SimWorld::new(4, RngFactory::new(9));
-        let a: u64 = w.node_stream("proto", 3).gen();
-        let b: u64 = w.rng_factory().stream_indexed("proto", 3).gen();
-        assert_eq!(a, b);
+        assert_eq!(w.now, SimTime::from_secs(10.0));
     }
 
     #[test]
@@ -253,7 +194,7 @@ mod tests {
             }
         }
 
-        let mut w = SimWorld::new(4, RngFactory::new(3));
+        let mut w = SimWorld::new();
         w.set_oracle_sink(OracleSink::new(OracleMode::Campaign));
         assert!(!w.has_oracles());
         w.install_oracle(Box::new(Probe::default()));
@@ -275,11 +216,11 @@ mod tests {
 
     #[test]
     fn metrics_accumulate_and_survive_into_metrics() {
-        let mut w = SimWorld::new(2, RngFactory::new(1));
+        let mut w = SimWorld::new();
         w.metrics_mut().incr("rejoin-events");
         w.metrics_mut().add("down-contacts", 3);
-        assert_eq!(w.metrics().get("rejoin-events"), 1);
         let reg = w.into_metrics();
+        assert_eq!(reg.get("rejoin-events"), 1);
         assert_eq!(reg.get("down-contacts"), 3);
     }
 }

@@ -10,8 +10,8 @@
 //! This crate is a facade re-exporting the workspace members:
 //!
 //! * [`sim`] ([`omn_sim`]) — deterministic discrete-event simulation:
-//!   virtual time, cancellable event queues, seeded RNG streams, metrics
-//!   and statistics.
+//!   virtual time, class-ordered event queues, seeded RNG streams,
+//!   invariant oracles, metrics and statistics.
 //! * [`contacts`] ([`omn_contacts`]) — contact traces, synthetic mobility
 //!   (heterogeneous pairwise, community, grid-cell, diurnal), contact
 //!   graphs, centrality, and online rate estimation.
@@ -20,11 +20,11 @@
 //!   simulator.
 //! * [`caching`] ([`omn_caching`]) — the NCL cooperative caching framework:
 //!   central-node selection, cache stores and replacement policies, Zipf
-//!   query workloads, and a data-access simulator.
+//!   query workloads, and the data-access layer the joint world drives.
 //! * [`core`] ([`omn_core`]) — **the paper's contribution**: refresh
 //!   hierarchies, analytically sized probabilistic replication, the
-//!   baseline schemes, the freshness simulator, and the closed-form
-//!   freshness analysis.
+//!   baseline schemes, the freshness simulator, the joint
+//!   caching + freshness world, and the closed-form freshness analysis.
 //!
 //! # Quickstart
 //!
@@ -46,7 +46,8 @@
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `crates/bench` for the full
-//! reconstructed evaluation (experiments E1–E12).
+//! reconstructed evaluation (experiments E1–E19, one `specs/eNN.scn`
+//! each, run with `omn-scn run eNN`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

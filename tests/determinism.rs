@@ -3,8 +3,9 @@
 //! confidence intervals rely on.
 
 use omn::caching::query::QueryWorkload;
-use omn::caching::{CachingConfig, CachingSimulator, Catalog};
+use omn::caching::Catalog;
 use omn::contacts::synth::presets::TracePreset;
+use omn::core::joint::{JointConfig, JointSimulator};
 use omn::core::sim::{FreshnessConfig, FreshnessSimulator, SchemeChoice};
 use omn::net::routing::Prophet;
 use omn::net::{workload, NetworkSimulator, SimConfig};
@@ -50,9 +51,12 @@ fn caching_and_routing_runs_are_deterministic() {
 
     let catalog = Catalog::uniform(&trace, 5, SimDuration::from_hours(4.0), &factory);
     let queries = QueryWorkload::zipf(&trace, &catalog, 100, 1.0, &factory);
-    let caching = CachingSimulator::new(CachingConfig::default());
-    let a = caching.run(&trace, &catalog, &queries);
-    let b = caching.run(&trace, &catalog, &queries);
+    let caching = JointSimulator::new(JointConfig {
+        freshness: None,
+        ..JointConfig::default()
+    });
+    let a = caching.run(&trace, &catalog, &queries, &factory).access;
+    let b = caching.run(&trace, &catalog, &queries, &factory).access;
     assert_eq!(a.satisfied, b.satisfied);
     assert_eq!(a.transmissions, b.transmissions);
     assert_eq!(a.cachers_per_item, b.cachers_per_item);

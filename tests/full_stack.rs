@@ -3,8 +3,9 @@
 //! the full pipeline behind experiment E9.
 
 use omn::caching::query::QueryWorkload;
-use omn::caching::{CachingConfig, CachingSimulator, Catalog};
+use omn::caching::Catalog;
 use omn::contacts::synth::presets::TracePreset;
+use omn::core::joint::{JointConfig, JointSimulator};
 use omn::core::sim::{FreshnessConfig, FreshnessSimulator, SchemeChoice};
 use omn::sim::{RngFactory, SimDuration};
 
@@ -16,8 +17,12 @@ fn caching_sets_feed_the_freshness_layer() {
     // Caching layer: place 4 items and serve queries.
     let catalog = Catalog::uniform(&trace, 4, SimDuration::from_hours(6.0), &factory);
     let queries = QueryWorkload::zipf(&trace, &catalog, 150, 1.0, &factory);
-    let caching = CachingSimulator::new(CachingConfig::default());
-    let access = caching.run(&trace, &catalog, &queries);
+    let access = JointSimulator::new(JointConfig {
+        freshness: None,
+        ..JointConfig::default()
+    })
+    .run(&trace, &catalog, &queries, &factory)
+    .access;
     assert!(access.success_ratio() > 0.2, "{}", access.success_ratio());
 
     // Freshness layer per item, over the caching sets the caching layer
