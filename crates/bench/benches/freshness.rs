@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use omn_bench::experiments::e15_scalability::scale_config;
 use omn_bench::experiments::{config_for, trace_for};
 use omn_contacts::synth::presets::TracePreset;
-use omn_contacts::synth::sharded::{ParallelShardedSource, ShardedCommunitySource};
+use omn_contacts::synth::sharded::ShardedCommunitySource;
 use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
 use omn_contacts::ContactSource;
 use omn_core::sim::{FreshnessSimulator, SchemeChoice};
@@ -65,27 +65,6 @@ fn bench_sharded_stream(c: &mut Criterion) {
     c.bench_function("contacts/sharded_stream_1000_nodes_1_day", |b| {
         b.iter(|| {
             let mut source = ShardedCommunitySource::new(&cfg, &factory);
-            let mut n = 0usize;
-            while source.next_contact().is_some() {
-                n += 1;
-            }
-            n
-        });
-    });
-}
-
-fn bench_sharded_window_barrier(c: &mut Criterion) {
-    // The intra-seed sharded engine: drain the same 1000-node stream
-    // through the window-barrier parallel merge (two generator threads,
-    // default span/64 window). Compared against
-    // `contacts/sharded_stream_1000_nodes_1_day` in bench_trend, this is
-    // the per-contact price of the barrier pipeline — it must stay
-    // within the same order as the serial merge.
-    let cfg = scale_config(1000);
-    let factory = RngFactory::new(11);
-    c.bench_function("engine/sharded_window_barrier", |b| {
-        b.iter(|| {
-            let mut source = ParallelShardedSource::new(&cfg, &factory, 2);
             let mut n = 0usize;
             while source.next_contact().is_some() {
                 n += 1;
@@ -212,6 +191,6 @@ fn bench_wire_codec(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_freshness_run, bench_oracle_overhead, bench_sharded_stream, bench_sharded_window_barrier, bench_trace_parse, bench_scenario_compile, bench_byte_budget, bench_wire_codec
+    targets = bench_freshness_run, bench_oracle_overhead, bench_sharded_stream, bench_trace_parse, bench_scenario_compile, bench_byte_budget, bench_wire_codec
 }
 criterion_main!(benches);

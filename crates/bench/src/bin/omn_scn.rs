@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Positional paths come right after the subcommand; everything from the
-//! first `--flag` on is the standard override set (`--seeds`, `--threads`,
+//! first `--flag` on is the standard override set (`--seeds`, `--nodes`,
 //! `--no-wall`, …), applied with the usual `CLI > spec > default`
 //! precedence. `plan` and `run` also accept an embedded spec name (`e01`
 //! … `e19`) instead of a file path.

@@ -6,20 +6,14 @@
 //! [`ShardedCommunitySource`] generates contacts shard-by-shard with
 //! O(shards) resident state, and the
 //! [`ContactDriver`](omn_contacts::ContactDriver) pulls them one
-//! event at a time, keeping only a bounded residency window. With
-//! `--threads n` the per-shard generators run on `n` OS threads behind
-//! window barriers ([`ParallelShardedSource`]) — the merged stream, and
-//! therefore every number printed, is bit-identical to the serial source
-//! (the CI determinism job diffs the two byte-for-byte). The headline
+//! event at a time, keeping only a bounded residency window. The headline
 //! claim — checked by the golden test and printed per row — is that the
 //! peak number of resident contacts stays **sublinear** in the number of
 //! contacts pulled, so memory no longer scales with trace length.
 
 use std::time::Instant;
 
-use omn_contacts::synth::sharded::{
-    ParallelShardedSource, ShardedCommunityConfig, ShardedCommunitySource,
-};
+use omn_contacts::synth::sharded::{ShardedCommunityConfig, ShardedCommunitySource};
 use omn_core::freshness::FreshnessRequirement;
 use omn_core::scheme::PlanningMode;
 use omn_core::sim::{
@@ -47,7 +41,7 @@ const SCHEMES: [SchemeChoice; 2] = [SchemeChoice::Hierarchical, SchemeChoice::Ep
 /// clipped to half the span at the reduced spans of the largest sizes.
 const WARMUP_HOURS: f64 = 6.0;
 
-/// Parameters of E15: sweep sizes, pipeline shape, and output columns.
+/// Parameters of E15: sweep sizes, schemes, seeds, and output columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Params {
     /// Node counts swept.
@@ -56,11 +50,6 @@ pub struct Params {
     pub schemes: Vec<SchemeChoice>,
     /// Replication seeds.
     pub seeds: Vec<u64>,
-    /// Generator threads (0 = serial k-way merge).
-    pub threads: usize,
-    /// Barrier-window override of the parallel pipeline, simulated
-    /// minutes.
-    pub window_mins: Option<f64>,
     /// Whether to print the wall-clock column.
     pub show_wall: bool,
     /// Node count of the `--headline` point.
@@ -75,15 +64,9 @@ impl Params {
             nodes: plan.axis_usize_or("nodes", &NODE_COUNTS),
             schemes: plan.schemes_or(&SCHEMES),
             seeds: plan.seeds().to_vec(),
-            threads: plan.threads,
-            window_mins: plan.window_mins,
             show_wall: !plan.no_wall,
             headline_nodes: plan.scalar_usize_or("headline-nodes", HEADLINE_NODES),
         }
-    }
-
-    fn window(&self) -> Option<SimDuration> {
-        self.window_mins.map(SimDuration::from_mins)
     }
 }
 
@@ -149,32 +132,12 @@ pub struct ScalePoint {
     pub wall: f64,
 }
 
-/// Runs one (node count, scheme, seed) point of the sweep on the classic
-/// serial source — [`run_point_with`] with `threads = 0`.
-#[must_use]
-pub fn run_point(nodes: usize, choice: SchemeChoice, seed: u64) -> ScalePoint {
-    run_point_with(nodes, choice, seed, 0, None)
-}
-
 /// Runs one (node count, scheme, seed) point of the sweep: selects roles
 /// from a streamed warm-up window, then drives the scheme over a fresh
 /// stream of the same source. Both passes draw from the same
 /// [`RngFactory`], so the warm-up window is a prefix of the run's stream.
-///
-/// `threads = 0` pulls the run's stream from the serial
-/// [`ShardedCommunitySource`]; `threads ≥ 1` pulls it from the
-/// window-barrier [`ParallelShardedSource`] on that many generator
-/// threads (`window` overrides its barrier width; `None` uses the
-/// default span/64). Every simulation output is bit-identical across all
-/// of these — only the wall clock changes.
 #[must_use]
-pub fn run_point_with(
-    nodes: usize,
-    choice: SchemeChoice,
-    seed: u64,
-    threads: usize,
-    window: Option<SimDuration>,
-) -> ScalePoint {
+pub fn run_point(nodes: usize, choice: SchemeChoice, seed: u64) -> ScalePoint {
     let start = Instant::now();
     let cfg = scale_config(nodes);
     let factory = RngFactory::new(seed);
@@ -186,16 +149,9 @@ pub fn run_point_with(
     drop(warmup);
 
     let mut scheme = sim.make_scheme(choice);
-    let (report, stats) = if threads == 0 {
-        let stream = ShardedCommunitySource::new(&cfg, &factory);
-        sim.run_streamed(stream, &oracle, source, &members, scheme.as_mut(), &factory)
-    } else {
-        let stream = match window {
-            Some(w) => ParallelShardedSource::with_window(&cfg, &factory, threads, w),
-            None => ParallelShardedSource::new(&cfg, &factory, threads),
-        };
-        sim.run_streamed(stream, &oracle, source, &members, scheme.as_mut(), &factory)
-    };
+    let stream = ShardedCommunitySource::new(&cfg, &factory);
+    let (report, stats) =
+        sim.run_streamed(stream, &oracle, source, &members, scheme.as_mut(), &factory);
     ScalePoint {
         report,
         stats,
@@ -215,20 +171,24 @@ pub fn run(plan: &CampaignPlan) {
     }
 }
 
+/// The mean-freshness cell for one sweep row: `n/a` when a point's span
+/// is shorter than one refresh period, so only the initial version exists
+/// and the mean would score that version alone.
+fn freshness_cell(points: &[ScalePoint]) -> String {
+    if points.iter().any(|p| p.report.version_count <= 1) {
+        return "n/a".to_owned();
+    }
+    let fresh: Vec<f64> = points.iter().map(|p| p.report.mean_freshness).collect();
+    fmt_ci(&fresh, 3)
+}
+
 /// The node-count sweep of the streaming pipeline, reporting freshness,
 /// refresh overhead, stream volume, peak residency, and wall-clock per
 /// point (`--no-wall` hides the wall column for byte-for-byte diffing).
 fn sweep(params: &Params) {
     banner("E15", "scalability with network size (streaming pipeline)");
-    let threads = params.threads;
-    let pipeline = if threads == 0 {
-        "serial k-way merge".to_owned()
-    } else {
-        format!("window-barrier parallel merge, {threads} generator threads")
-    };
     println!(
         "generator: sharded communities (~50 nodes/shard), span 1 day → 1 h by size\n\
-         pipeline: {pipeline}\n\
          planning: estimated rates, roles from a streamed warm-up window\n"
     );
     let show_wall = params.show_wall;
@@ -246,12 +206,9 @@ fn sweep(params: &Params) {
     }
     let mut table = Table::new(headers);
     let seeds = &params.seeds;
-    let window = params.window();
     for &n in &params.nodes {
         for &choice in &params.schemes {
-            let points = per_seed(seeds, |seed| {
-                run_point_with(n, choice, seed, threads, window)
-            });
+            let points = per_seed(seeds, |seed| run_point(n, choice, seed));
             let contacts: Vec<f64> = points
                 .iter()
                 .map(|p| p.stats.contacts_total as f64)
@@ -260,7 +217,6 @@ fn sweep(params: &Params) {
                 .iter()
                 .map(|p| p.stats.peak_resident as f64)
                 .collect();
-            let fresh: Vec<f64> = points.iter().map(|p| p.report.mean_freshness).collect();
             let overhead: Vec<f64> = points
                 .iter()
                 .map(|p| {
@@ -274,7 +230,7 @@ fn sweep(params: &Params) {
                 choice.name().to_owned(),
                 fmt_ci(&contacts, 0),
                 fmt_ci(&peak, 0),
-                fmt_ci(&fresh, 3),
+                freshness_cell(&points),
                 fmt_ci(&overhead, 2),
             ];
             if show_wall {
@@ -299,59 +255,45 @@ fn sweep(params: &Params) {
 }
 
 /// The `--headline` point: 10⁶ nodes, one simulated hour, one seed, the
-/// hierarchical scheme, on the parallel pipeline (at least one generator
-/// thread — the headline exists to exercise the sharded engine at full
-/// scale).
+/// hierarchical scheme. The hour is shorter than one refresh period, so
+/// only the initial version exists and the freshness cell reads `n/a`
+/// rather than scoring that version.
 fn headline(params: &Params) {
-    banner(
-        "E15",
-        "headline: one million nodes (window-barrier pipeline)",
-    );
+    banner("E15", "headline: one million nodes (streaming pipeline)");
     let headline_nodes = params.headline_nodes;
-    let threads = params.threads.max(1);
     let seed = params.seeds.first().copied().unwrap_or(11);
     println!(
-        "nodes {headline_nodes}, shards {}, span {:.1} h, {threads} generator thread(s), seed {seed}\n",
+        "nodes {headline_nodes}, shards {}, span {:.1} h, seed {seed}\n",
         shards_for(headline_nodes),
         span_for(headline_nodes).as_secs() / 3600.0
     );
-    let p = run_point_with(
-        headline_nodes,
-        SchemeChoice::Hierarchical,
-        seed,
-        threads,
-        params.window(),
-    );
-    let mut table = Table::new(vec![
+    let p = run_point(headline_nodes, SchemeChoice::Hierarchical, seed);
+    let mut headers = vec![
         "nodes",
         "contacts",
         "peak resident",
+        "versions",
         "mean freshness",
         "transmissions",
-    ]);
+    ];
     let mut row = vec![
         headline_nodes.to_string(),
         p.stats.contacts_total.to_string(),
         p.stats.peak_resident.to_string(),
-        format!("{:.3}", p.report.mean_freshness),
+        p.report.version_count.to_string(),
+        freshness_cell(std::slice::from_ref(&p)),
         p.report.transmissions.to_string(),
     ];
     if params.show_wall {
-        table = Table::new(vec![
-            "nodes",
-            "contacts",
-            "peak resident",
-            "mean freshness",
-            "transmissions",
-            "wall (s)",
-        ]);
+        headers.push("wall (s)");
         row.push(format!("{:.2}", p.wall));
     }
+    let mut table = Table::new(headers);
     table.row(row);
     table.print();
     println!(
-        "\n(the resident set stays O(shards + one barrier window) while the \
-         stream runs to millions of contacts — the intra-seed sharded \
-         engine's memory model at its design size)"
+        "\n(the resident set stays O(shards + the driver's overlap window) \
+         while the stream runs to millions of contacts — the streaming \
+         pipeline's memory model at its design size)"
     );
 }

@@ -27,13 +27,8 @@
 //!   when omitted.
 //! * `--serial` — run seeds sequentially on the calling thread (useful for
 //!   profiling and for demonstrating serial/parallel equivalence).
-//! * `--threads n` (or `--threads=n`) — generator threads for the
-//!   window-barrier parallel contact pipeline (E15); 0 (default) keeps
-//!   the classic serial source. Output is bit-identical either way.
-//! * `--window-mins m` (or `--window-mins=m`) — barrier window of the
-//!   parallel pipeline in simulated minutes (default: span/64).
 //! * `--no-wall` — hide wall-clock columns so two runs can be
-//!   byte-for-byte diffed (the CI determinism job).
+//!   byte-for-byte diffed.
 //! * `--headline` — run the single large headline point instead of the
 //!   sweep (E15: 10⁶ nodes, one seed).
 
@@ -92,10 +87,6 @@ pub struct CliOverrides {
     pub nodes: Option<Vec<usize>>,
     /// `--serial`: run seed replications sequentially.
     pub serial: bool,
-    /// `--threads n`: generator threads for the parallel contact pipeline.
-    pub threads: Option<usize>,
-    /// `--window-mins m`: barrier window of the parallel pipeline.
-    pub window_mins: Option<f64>,
     /// `--no-wall`: hide wall-clock columns.
     pub no_wall: bool,
     /// `--headline`: run the single large headline point.
@@ -107,8 +98,7 @@ pub struct CliOverrides {
 /// One-line usage string printed with every flag error.
 #[must_use]
 pub fn usage() -> &'static str {
-    "usage: [--seeds A,B,C] [--nodes A,B,C] [--serial] [--threads N] \
-     [--window-mins M] [--no-wall] [--headline] \
+    "usage: [--seeds A,B,C] [--nodes A,B,C] [--serial] [--no-wall] [--headline] \
      [--trace FILE [--trace-format reality|haggle|omn-v1]]"
 }
 
@@ -161,23 +151,6 @@ impl CliOverrides {
                 "--serial" => {
                     over.serial = true;
                     Ok(())
-                }
-                "--threads" => value("--threads").and_then(|v| {
-                    v.trim()
-                        .parse()
-                        .map(|n| over.threads = Some(n))
-                        .map_err(|_| format!("--threads takes a thread count, got `{v}`"))
-                }),
-                "--window-mins" => {
-                    value("--window-mins").and_then(|v| match v.trim().parse::<f64>() {
-                        Ok(m) if m.is_finite() && m > 0.0 => {
-                            over.window_mins = Some(m);
-                            Ok(())
-                        }
-                        _ => Err(format!(
-                            "--window-mins takes a positive minute count, got `{v}`"
-                        )),
-                    })
                 }
                 "--no-wall" => {
                     over.no_wall = true;
@@ -387,39 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_threads_and_window_forms() {
-        assert_eq!(ok(&[]).threads, None);
-        assert_eq!(ok(&["--threads", "4"]).threads, Some(4));
-        assert_eq!(ok(&["--threads=2"]).threads, Some(2));
-        assert_eq!(ok(&[]).window_mins, None);
-        assert_eq!(ok(&["--window-mins", "73"]).window_mins, Some(73.0));
-        assert_eq!(ok(&["--window-mins=7.5"]).window_mins, Some(7.5));
-        let both = ok(&["--window-mins", "73", "--threads", "2"]);
-        assert_eq!(both.threads, Some(2));
-        assert_eq!(both.window_mins, Some(73.0));
-    }
-
-    #[test]
-    fn malformed_threads_flag_is_a_clean_error() {
-        // Historically `--threads abc` panicked inside the parser; it is
-        // now a one-line usage error.
-        let err = strict(&["--threads", "abc"]).unwrap_err();
-        assert!(err.contains("--threads takes a thread count"), "{err}");
-    }
-
-    #[test]
-    fn nonpositive_window_flag_is_an_error() {
-        let err = strict(&["--window-mins", "0"]).unwrap_err();
-        assert!(
-            err.contains("--window-mins takes a positive minute count"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn unknown_flag_is_an_error_in_strict_mode_only() {
         let err = strict(&["--frobnicate"]).unwrap_err();
         assert!(err.contains("unknown flag `--frobnicate`"), "{err}");
+        let err = strict(&["--threads", "2"]).unwrap_err();
+        assert!(err.contains("unknown flag `--threads`"), "{err}");
         let err = strict(&["positional"]).unwrap_err();
         assert!(err.contains("unexpected argument `positional`"), "{err}");
         // Lenient mode (test harnesses inject their own flags) skips them

@@ -45,11 +45,6 @@ pub struct CampaignPlan {
     pub seeds: Vec<u64>,
     /// The cross product of every matrix axis, in row-major axis order.
     pub points: Vec<PlanPoint>,
-    /// Generator threads for the parallel contact pipeline (0 = serial).
-    pub threads: usize,
-    /// Barrier-window override of the parallel pipeline, simulated
-    /// minutes.
-    pub window_mins: Option<f64>,
     /// Hide wall-clock columns (spec `[output] no-wall` OR CLI
     /// `--no-wall`).
     pub no_wall: bool,
@@ -166,12 +161,6 @@ pub fn compile(
     // --- Override overlay (CLI > spec > driver default) ---------------
     if let Some(seeds) = &overrides.seeds {
         spec.run.seeds = Some(seeds.clone());
-    }
-    if let Some(threads) = overrides.threads {
-        spec.run.threads = Some(threads);
-    }
-    if let Some(mins) = overrides.window_mins {
-        spec.run.window_mins = Some(mins);
     }
     if let Some(nodes) = &overrides.nodes {
         let values: Vec<f64> = nodes.iter().map(|&n| n as f64).collect();
@@ -349,16 +338,12 @@ pub fn compile(
     }
 
     let seeds = spec.run.seeds.clone().unwrap_or_else(|| SEEDS.to_vec());
-    let threads = spec.run.threads.unwrap_or(0);
-    let window_mins = spec.run.window_mins;
     let no_wall = spec.output.no_wall;
 
     Ok(CampaignPlan {
         spec,
         seeds,
         points,
-        threads,
-        window_mins,
         no_wall,
         headline: overrides.headline,
     })
@@ -595,9 +580,6 @@ impl CampaignPlan {
         ));
         if let Some(golden) = &self.spec.output.golden {
             out.push_str(&format!("golden: {golden}\n"));
-        }
-        if self.threads > 0 {
-            out.push_str(&format!("threads: {}\n", self.threads));
         }
         if self.no_wall {
             out.push_str("no-wall: true\n");

@@ -307,7 +307,7 @@ impl RunLeg {
 }
 
 /// The `[run]` section: seed set, scheme choice, oracle mode, retry
-/// policy, and pipeline knobs. Every field is optional — the campaign
+/// policy, and runtime legs. Every field is optional — the campaign
 /// driver's defaults apply when absent, and command-line flags override
 /// whatever the spec says.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -320,10 +320,6 @@ pub struct RunSpec {
     pub oracle: Option<OracleMode>,
     /// Retry policy for resilient campaigns.
     pub retry: Option<RetrySpec>,
-    /// Generator threads of the window-barrier parallel pipeline.
-    pub threads: Option<usize>,
-    /// Barrier window of the parallel pipeline, simulated minutes.
-    pub window_mins: Option<f64>,
     /// Which legs of a runtime campaign run (`None` = all legs).
     pub legs: Option<Vec<RunLeg>>,
 }
@@ -417,7 +413,7 @@ pub struct ScenarioSpec {
     pub campaign: CampaignKind,
     /// Contact-world selection.
     pub world: WorldSpec,
-    /// Seeds, schemes, oracle mode, retry policy, pipeline knobs.
+    /// Seeds, schemes, oracle mode, retry policy, runtime legs.
     pub run: RunSpec,
     /// Fault ladder (empty = fault-free).
     pub faults: Vec<FaultRung>,
@@ -973,22 +969,6 @@ fn parse_run(section: &RawSection) -> Result<RunSpec, ScenarioError> {
                     )
                 })?);
             }
-            "threads" => {
-                reject_dup(run.threads.is_some(), kv, "[run] threads")?;
-                run.threads = Some(parse_int(section, kv, &kv.value)?);
-            }
-            "window-mins" => {
-                reject_dup(run.window_mins.is_some(), kv, "[run] window-mins")?;
-                let mins = parse_f64(section, kv, &kv.value)?;
-                if mins <= 0.0 {
-                    return Err(err(
-                        kv.line,
-                        qualified(section, &kv.key),
-                        "expected a positive minute count",
-                    ));
-                }
-                run.window_mins = Some(mins);
-            }
             "legs" => {
                 reject_dup(run.legs.is_some(), kv, "[run] legs")?;
                 let mut legs = Vec::new();
@@ -1349,12 +1329,6 @@ impl ScenarioSpec {
             }
             if let Some(retry) = run.retry {
                 out.push_str(&format!("retry = {}\n", retry.render()));
-            }
-            if let Some(threads) = run.threads {
-                out.push_str(&format!("threads = {threads}\n"));
-            }
-            if let Some(mins) = run.window_mins {
-                out.push_str(&format!("window-mins = {mins}\n"));
             }
             if let Some(legs) = &run.legs {
                 out.push_str(&format!(

@@ -36,20 +36,22 @@ fn non_header_first_line_cites_line_one() {
 
 #[test]
 fn unknown_run_key_names_line_and_field() {
-    let err = parse_err(
-        "scenario t\n\
-         campaign = chaos\n\
-         \n\
-         [run]\n\
-         frobnicate = 1\n",
-    );
-    assert_eq!(err.line, 5);
-    assert_eq!(err.field, "[run] frobnicate");
-    assert!(err.message.contains("unknown key in [run]"));
-    assert_eq!(
-        err.to_string(),
-        "line 5: [run] frobnicate: unknown key in [run]"
-    );
+    for key in ["frobnicate", "threads"] {
+        let err = parse_err(&format!(
+            "scenario t\n\
+             campaign = chaos\n\
+             \n\
+             [run]\n\
+             {key} = 2\n"
+        ));
+        assert_eq!(err.line, 5);
+        assert_eq!(err.field, format!("[run] {key}"));
+        assert!(err.message.contains("unknown key in [run]"));
+        assert_eq!(
+            err.to_string(),
+            format!("line 5: [run] {key}: unknown key in [run]")
+        );
+    }
 }
 
 #[test]
@@ -541,7 +543,6 @@ fn build_spec(
     legs: &str,
     link: &str,
     seeds: &[u64],
-    threads: usize,
     axes: &[(String, Vec<u64>)],
     rungs: usize,
 ) -> String {
@@ -551,12 +552,7 @@ fn build_spec(
     text.push_str("title = generated round-trip scenario\n");
     text.push_str(&format!("campaign = {campaign}\n"));
     text.push_str(world);
-    if !seeds.is_empty()
-        || !retry.is_empty()
-        || !oracle.is_empty()
-        || !legs.is_empty()
-        || threads > 0
-    {
+    if !seeds.is_empty() || !retry.is_empty() || !oracle.is_empty() || !legs.is_empty() {
         text.push_str("[run]\n");
         if !seeds.is_empty() {
             let list: Vec<String> = seeds.iter().map(u64::to_string).collect();
@@ -565,9 +561,6 @@ fn build_spec(
         text.push_str(retry);
         text.push_str(oracle);
         text.push_str(legs);
-        if threads > 0 {
-            text.push_str(&format!("threads = {threads}\n"));
-        }
     }
     if rungs > 0 {
         text.push_str("[faults]\n");
@@ -616,7 +609,6 @@ proptest! {
         legs_i in 0usize..4,
         link_i in 0usize..3,
         seeds in prop::collection::vec(1u64..10_000, 0..4),
-        threads in 0usize..5,
         axis_count in 0usize..3,
         axis_vals in prop::collection::vec(1u64..1000, 1..4),
         rungs in 0usize..4,
@@ -632,7 +624,6 @@ proptest! {
             LEGS[legs_i],
             LINKS[link_i],
             &seeds,
-            threads,
             &axes,
             rungs,
         );

@@ -34,7 +34,6 @@ fn overrides_reach_params_through_the_plan() {
     let overrides = CliOverrides {
         seeds: Some(vec![5]),
         nodes: Some(vec![100, 200]),
-        threads: Some(3),
         no_wall: true,
         ..CliOverrides::default()
     };
@@ -42,7 +41,6 @@ fn overrides_reach_params_through_the_plan() {
     let params = e::e15_scalability::Params::from_plan(&plan);
     assert_eq!(params.seeds, vec![5]);
     assert_eq!(params.nodes, vec![100, 200]);
-    assert_eq!(params.threads, 3);
     assert!(!params.show_wall);
 }
 

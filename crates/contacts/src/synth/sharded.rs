@@ -4,7 +4,7 @@
 //! [`generate_community`](super::community::generate_community)) iterate every node
 //! pair and hold every contact in a `Vec` — O(n²) work and O(contacts)
 //! memory, which caps them at a few hundred nodes. This module scales the
-//! community model to 10⁴–10⁵ nodes by generating each community's contact
+//! community model to 10⁴–10⁶ nodes by generating each community's contact
 //! stream *independently* and k-way-merging the streams by start time on
 //! the fly:
 //!
@@ -27,9 +27,9 @@
 //! merge has advanced.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-use omn_sim::{RngFactory, ShardWorker, ShardedRunner, SimDuration, SimTime};
+use omn_sim::{RngFactory, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand_distr::{Distribution, Exp};
@@ -187,34 +187,9 @@ struct ShardStream {
     dur: Exp,
     span_secs: f64,
     kind: StreamKind,
-    /// A generated contact held back because it starts at or after the
-    /// current window boundary ([`ShardStream::next_in_window`]). `next`
-    /// consumes it first, so windowed and unwindowed pulls see the exact
-    /// same contact sequence.
-    peeked: Option<Contact>,
 }
 
 impl ShardStream {
-    fn next(&mut self, config: &ShardedCommunityConfig) -> Option<Contact> {
-        if let Some(c) = self.peeked.take() {
-            return Some(c);
-        }
-        self.generate(config)
-    }
-
-    /// The next contact iff it starts before `to_secs`; otherwise the
-    /// contact is held back for the window that owns it. Per-stream starts
-    /// are nondecreasing, so `None` means this window is complete.
-    fn next_in_window(&mut self, config: &ShardedCommunityConfig, to_secs: f64) -> Option<Contact> {
-        let c = self.next(config)?;
-        if c.start().as_secs() < to_secs {
-            Some(c)
-        } else {
-            self.peeked = Some(c);
-            None
-        }
-    }
-
     fn generate(&mut self, config: &ShardedCommunityConfig) -> Option<Contact> {
         loop {
             self.t += self.gap.sample(&mut self.rng);
@@ -256,10 +231,9 @@ impl ShardStream {
 
 /// Builds the per-shard aggregate streams plus the bridge stream.
 ///
-/// Both merge front-ends ([`ShardedCommunitySource`] and
-/// [`ParallelShardedSource`]) break `(start, end, pair)` key ties by stream
-/// *index*, and zero-rate streams are skipped here, so the index assignment
-/// must come from this one place for the two merges to order identically.
+/// The merge in [`ShardedCommunitySource`] breaks `(start, end, pair)` key
+/// ties by stream *index*; zero-rate streams are skipped here, so the
+/// index of a stream is its position among the live streams.
 fn build_streams(config: &ShardedCommunityConfig, factory: &RngFactory) -> Vec<ShardStream> {
     let span_secs = config.span.as_secs();
     let mean_dur = config.mean_contact_duration.as_secs().max(1e-6);
@@ -281,7 +255,6 @@ fn build_streams(config: &ShardedCommunityConfig, factory: &RngFactory) -> Vec<S
             dur,
             span_secs,
             kind: StreamKind::Intra { first: lo, len },
-            peeked: None,
         });
     }
     let bridge_rate = config.bridge_rate * config.nodes as f64;
@@ -295,7 +268,6 @@ fn build_streams(config: &ShardedCommunityConfig, factory: &RngFactory) -> Vec<S
             kind: StreamKind::Bridge {
                 nodes: config.nodes,
             },
-            peeked: None,
         });
     }
     streams
@@ -366,9 +338,17 @@ impl ShardedCommunitySource {
 
     /// Pulls stream `i`'s next contact into the merge heap.
     fn refill(&mut self, i: usize) {
-        if let Some(c) = self.streams[i].next(&self.config) {
+        if let Some(c) = self.streams[i].generate(&self.config) {
             self.pending[i] = Some(c);
-            self.heap.push(merge_key(&c, i));
+            self.heap.push(Reverse(Pending {
+                key: (
+                    c.start().as_secs().to_bits(),
+                    c.end().as_secs().to_bits(),
+                    c.a().0,
+                    c.b().0,
+                ),
+                stream: i,
+            }));
         } else {
             self.pending[i] = None;
         }
@@ -402,164 +382,6 @@ impl ContactSource for ShardedCommunitySource {
     }
 }
 
-/// The merge-heap entry for stream `i`'s contact `c`.
-fn merge_key(c: &Contact, stream: usize) -> Reverse<Pending> {
-    Reverse(Pending {
-        key: (
-            c.start().as_secs().to_bits(),
-            c.end().as_secs().to_bits(),
-            c.a().0,
-            c.b().0,
-        ),
-        stream,
-    })
-}
-
-/// One sharded-community stream packaged as a [`ShardWorker`]: a window
-/// fill drains the stream up to the window boundary.
-#[derive(Debug)]
-struct ContactShard {
-    stream: ShardStream,
-    config: ShardedCommunityConfig,
-}
-
-impl ShardWorker for ContactShard {
-    type Item = Contact;
-
-    fn fill(&mut self, _from: SimTime, to: SimTime, out: &mut Vec<Contact>) {
-        while let Some(c) = self.stream.next_in_window(&self.config, to.as_secs()) {
-            out.push(c);
-        }
-    }
-}
-
-/// A [`ContactSource`] over the sharded community model that generates the
-/// per-shard streams window by window on a [`ShardedRunner`] — optionally
-/// across a pool of OS threads — and k-way merges each window at the
-/// barrier.
-///
-/// The merge replicates [`ShardedCommunitySource`]'s algorithm exactly:
-/// each stream's window batch sits in a FIFO queue and only the queue
-/// *heads* compete in the heap, so even same-key contacts emerge in each
-/// stream's generation order. Windows partition contacts by start time and
-/// the merge key leads with the start, so no window-`w+1` contact can ever
-/// precede a window-`w` contact. The output is therefore bit-identical to
-/// the serial source for any thread count and any window size.
-#[derive(Debug)]
-pub struct ParallelShardedSource {
-    config: ShardedCommunityConfig,
-    runner: ShardedRunner<ContactShard>,
-    /// The current window's not-yet-merged contacts, one FIFO per stream.
-    queues: Vec<VecDeque<Contact>>,
-    heap: BinaryHeap<Reverse<Pending>>,
-}
-
-impl ParallelShardedSource {
-    /// Builds the source with the default synchronization window of
-    /// 1/64th of the span. `threads <= 1` generates windows inline on the
-    /// calling thread (still bit-identical); larger values use that many
-    /// OS threads with one window of read-ahead.
-    #[must_use]
-    pub fn new(
-        config: &ShardedCommunityConfig,
-        factory: &RngFactory,
-        threads: usize,
-    ) -> ParallelShardedSource {
-        ParallelShardedSource::with_window(config, factory, threads, config.span / 64.0)
-    }
-
-    /// Like [`ParallelShardedSource::new`] with an explicit window length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is not strictly positive.
-    #[must_use]
-    pub fn with_window(
-        config: &ShardedCommunityConfig,
-        factory: &RngFactory,
-        threads: usize,
-        window: SimDuration,
-    ) -> ParallelShardedSource {
-        let streams = build_streams(config, factory);
-        let queues = (0..streams.len()).map(|_| VecDeque::new()).collect();
-        let workers = streams
-            .into_iter()
-            .map(|stream| ContactShard {
-                stream,
-                config: config.clone(),
-            })
-            .collect();
-        let runner = ShardedRunner::new(workers, SimTime::ZERO + config.span, window, threads);
-        ParallelShardedSource {
-            config: config.clone(),
-            runner,
-            queues,
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// The configuration this source streams from.
-    #[must_use]
-    pub fn config(&self) -> &ShardedCommunityConfig {
-        &self.config
-    }
-
-    /// Advances to the next window with at least one contact, seeding the
-    /// merge heap with each stream's queue head. Returns `false` once the
-    /// span is exhausted.
-    fn load_next_window(&mut self) -> bool {
-        loop {
-            let Some(w) = self.runner.next_window() else {
-                return false;
-            };
-            let mut any = false;
-            for (i, batch) in w.batches.into_iter().enumerate() {
-                debug_assert!(self.queues[i].is_empty(), "window merged before refill");
-                self.queues[i] = batch.into();
-                if let Some(c) = self.queues[i].front() {
-                    self.heap.push(merge_key(c, i));
-                    any = true;
-                }
-            }
-            if any {
-                return true;
-            }
-        }
-    }
-}
-
-impl ContactSource for ParallelShardedSource {
-    fn node_count(&self) -> usize {
-        self.config.nodes
-    }
-
-    fn span(&self) -> SimTime {
-        SimTime::ZERO + self.config.span
-    }
-
-    fn next_contact(&mut self) -> Option<Contact> {
-        if self.heap.is_empty() && !self.load_next_window() {
-            return None;
-        }
-        let Reverse(Pending { stream, .. }) = self.heap.pop()?;
-        let c = self.queues[stream]
-            .pop_front()
-            .expect("heap entry has a queued contact");
-        if let Some(next) = self.queues[stream].front() {
-            self.heap.push(merge_key(next, stream));
-        }
-        Some(c)
-    }
-
-    fn last_contact(&self) -> LastContact {
-        LastContact::Unknown
-    }
-
-    fn resident_hint(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-}
-
 /// Materializes the full sharded-community trace by generating every
 /// stream to completion and letting [`TraceBuilder`] sort — the monolithic
 /// counterpart of [`ShardedCommunitySource`], used to verify that the
@@ -578,7 +400,7 @@ pub fn generate_sharded(config: &ShardedCommunityConfig, factory: &RngFactory) -
         if let Some(c) = source.pending[i].take() {
             contacts.push(c);
         }
-        while let Some(c) = source.streams[i].next(&source.config) {
+        while let Some(c) = source.streams[i].generate(&source.config) {
             contacts.push(c);
         }
     }
@@ -697,82 +519,6 @@ mod tests {
             }
         }
         assert_eq!(covered, cfg.nodes);
-    }
-
-    #[test]
-    fn parallel_source_is_bit_identical_to_serial() {
-        let cfg = ShardedCommunityConfig::new(60, 5, SimDuration::from_hours(18.0));
-        let factory = RngFactory::new(77);
-        let mut serial = ShardedCommunitySource::new(&cfg, &factory);
-        let expected: Vec<Contact> = std::iter::from_fn(|| serial.next_contact()).collect();
-        assert!(!expected.is_empty());
-        for threads in [1, 2, 4] {
-            let mut par = ParallelShardedSource::new(&cfg, &factory, threads);
-            let got: Vec<Contact> = std::iter::from_fn(|| par.next_contact()).collect();
-            assert_eq!(expected, got, "threads={threads} diverged from serial");
-        }
-    }
-
-    #[test]
-    fn parallel_source_is_window_size_independent() {
-        let cfg = ShardedCommunityConfig::new(40, 4, SimDuration::from_hours(10.0));
-        let factory = RngFactory::new(13);
-        let drain = |threads: usize, window_mins: f64| -> Vec<Contact> {
-            let mut src = ParallelShardedSource::with_window(
-                &cfg,
-                &factory,
-                threads,
-                SimDuration::from_mins(window_mins),
-            );
-            std::iter::from_fn(move || src.next_contact()).collect()
-        };
-        let base = drain(1, 600.0); // one window covers the whole span
-        assert!(!base.is_empty());
-        assert_eq!(base, drain(1, 7.0));
-        assert_eq!(base, drain(2, 31.0));
-        assert_eq!(base, drain(4, 113.0));
-    }
-
-    #[test]
-    fn parallel_source_single_shard_and_zero_rate_edge_cases() {
-        // Single shard: no bridge stream.
-        let cfg = ShardedCommunityConfig::new(12, 1, SimDuration::from_hours(6.0));
-        let factory = RngFactory::new(9);
-        let mut serial = ShardedCommunitySource::new(&cfg, &factory);
-        let expected: Vec<Contact> = std::iter::from_fn(|| serial.next_contact()).collect();
-        let mut par = ParallelShardedSource::new(&cfg, &factory, 2);
-        let got: Vec<Contact> = std::iter::from_fn(|| par.next_contact()).collect();
-        assert_eq!(expected, got);
-
-        // All rates zero: no streams at all, the source is just empty.
-        let dead = ShardedCommunityConfig::new(8, 2, SimDuration::from_hours(1.0))
-            .intra_rate(0.0)
-            .bridge_rate(0.0);
-        let mut empty = ParallelShardedSource::new(&dead, &factory, 3);
-        assert!(empty.next_contact().is_none());
-        assert_eq!(empty.resident_hint(), 0);
-    }
-
-    #[test]
-    fn parallel_source_resident_state_is_one_window() {
-        let cfg = ShardedCommunityConfig::new(200, 4, SimDuration::from_hours(4.0));
-        let factory = RngFactory::new(2);
-        let window = SimDuration::from_mins(15.0);
-        let mut src = ParallelShardedSource::with_window(&cfg, &factory, 2, window);
-        // Expected contacts per window ≈ total_rate × window; the buffered
-        // peak should be the same order, far below the whole trace.
-        let mut peak = 0usize;
-        let mut total = 0usize;
-        while src.next_contact().is_some() {
-            peak = peak.max(src.resident_hint());
-            total += 1;
-        }
-        assert!(total > 500, "expected a busy trace, got {total}");
-        let windows = (cfg.span.as_secs() / window.as_secs()).ceil() as usize;
-        assert!(
-            peak < 4 * total.div_ceil(windows).max(1),
-            "resident peak {peak} is not window-bounded (total {total}, {windows} windows)"
-        );
     }
 
     #[test]

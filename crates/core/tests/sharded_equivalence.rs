@@ -1,22 +1,22 @@
-//! Property: the window-barrier parallel sharded pipeline
-//! ([`ParallelShardedSource`]) is observationally *bit-identical* to the
-//! serial k-way merge ([`ShardedCommunitySource`]) all the way through a
-//! full freshness run — not merely "statistically similar". Final member
-//! versions, the time-weighted mean freshness down to the last `f64` bit,
-//! transmission totals and their per-node attribution, replica counts,
-//! and oracle verdicts all coincide for any thread count and any window
-//! size, with or without an injected fault plan.
+//! Property: a full freshness run over the streamed k-way merge
+//! ([`ShardedCommunitySource`]) is observationally *bit-identical* to the
+//! same run over the materialized-and-sorted trace
+//! ([`generate_sharded`] replayed through a [`TraceSource`]) — not merely
+//! "statistically similar". Final member versions, the time-weighted mean
+//! freshness down to the last `f64` bit, transmission totals and their
+//! per-node attribution, replica counts, and oracle verdicts all
+//! coincide, with or without an injected fault plan.
 //!
-//! This is the determinism contract of the sharded engine (the
-//! window-barrier merge replays the serial heap's per-stream-FIFO order
-//! exactly; the protocol replay itself stays serial), pinned across
-//! random worlds in the style of `replay_equivalence`.
+//! The fault plan is drawn from the shared factory and indexes contacts by
+//! their global order, so the faulted case also pins that the merge emits
+//! contacts in exactly the trace's sorted order. Pinned across random
+//! worlds in the style of `replay_equivalence`.
 
 use omn_contacts::faults::{DowntimeConfig, FaultConfig};
 use omn_contacts::synth::sharded::{
-    ParallelShardedSource, ShardedCommunityConfig, ShardedCommunitySource,
+    generate_sharded, ShardedCommunityConfig, ShardedCommunitySource,
 };
-use omn_contacts::{ContactGraph, ContactSource, NodeId};
+use omn_contacts::{ContactGraph, ContactSource, NodeId, TraceSource};
 use omn_core::hierarchy::HierarchyStrategy;
 use omn_core::scheme::{HierarchicalConfig, HierarchicalScheme, PlanningMode};
 use omn_core::sim::{FreshnessConfig, FreshnessReport, FreshnessSimulator, StreamStats};
@@ -58,7 +58,7 @@ fn scheme() -> HierarchicalScheme {
     })
 }
 
-/// Roles come from one serial warm-up pass so every run under comparison
+/// Roles come from one streamed warm-up pass so every run under comparison
 /// uses the exact same root, members, and planning oracle.
 fn roles(
     sim: &FreshnessSimulator,
@@ -126,66 +126,38 @@ fn chaos(seed_bit: bool) -> FaultConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `sharded(threads=k, any window) == sharded(threads=1) == serial`
-    /// across random worlds, shard counts, and window sizes, fault-free.
+    /// `streamed merge == materialized trace` across random worlds and
+    /// shard counts, fault-free (oracle-clean) and under a fault plan
+    /// (loss, dead contacts, optionally crash-with-state-loss churn).
     #[test]
-    fn parallel_run_is_bit_identical_to_serial(
+    fn streamed_run_is_bit_identical_to_materialized(
         seed in any::<u64>(),
         nodes in 20usize..60,
         shards in 1usize..6,
         hours in 12u32..28,
-        threads in 2usize..5,
-        divisor in 3u32..40,
-    ) {
-        let shards = shards.min(nodes);
-        let (config, factory) = world(seed, nodes, shards, f64::from(hours));
-        let sim = simulator(None);
-        let (root, members, oracle) = roles(&sim, &config, &factory);
-        prop_assert!(!members.is_empty(), "warm-up window produced no members");
-
-        let serial = ShardedCommunitySource::new(&config, &factory);
-        let (base, base_stats) = run_with(&sim, serial, &oracle, root, &members, &factory);
-
-        let one = ParallelShardedSource::new(&config, &factory, 1);
-        let (r1, s1) = run_with(&sim, one, &oracle, root, &members, &factory);
-        assert_bit_identical("threads=1", &base, &r1);
-        prop_assert_eq!(base_stats.contacts_total, s1.contacts_total);
-
-        let window = config.span / f64::from(divisor);
-        let many = ParallelShardedSource::with_window(&config, &factory, threads, window);
-        let (rk, sk) = run_with(&sim, many, &oracle, root, &members, &factory);
-        assert_bit_identical("threads=k", &base, &rk);
-        prop_assert_eq!(base_stats.contacts_total, sk.contacts_total);
-        prop_assert!(base.oracle.is_clean());
-    }
-
-    /// The same identity holds under an injected fault plan (loss, dead
-    /// contacts, optionally crash-with-state-loss churn): the plan is
-    /// materialized from the shared factory and indexes contacts by their
-    /// merged global order, which the parallel merge reproduces exactly.
-    #[test]
-    fn parallel_run_is_bit_identical_under_faults(
-        seed in any::<u64>(),
-        nodes in 20usize..48,
-        shards in 2usize..5,
-        threads in 2usize..5,
-        divisor in 3u32..24,
         crashes in any::<bool>(),
     ) {
         let shards = shards.min(nodes);
-        let (config, factory) = world(seed, nodes, shards, 18.0);
-        let sim = simulator(Some(chaos(crashes)));
-        let (root, members, oracle) = roles(&sim, &config, &factory);
-        prop_assert!(!members.is_empty(), "warm-up window produced no members");
+        let (config, factory) = world(seed, nodes, shards, f64::from(hours));
+        let trace = generate_sharded(&config, &factory);
+        for faults in [None, Some(chaos(crashes))] {
+            let faulted = faults.is_some();
+            let label = if faulted { "faulted" } else { "fault-free" };
+            let sim = simulator(faults);
+            let (root, members, oracle) = roles(&sim, &config, &factory);
+            prop_assert!(!members.is_empty(), "warm-up window produced no members");
 
-        let serial = ShardedCommunitySource::new(&config, &factory);
-        let (base, _) = run_with(&sim, serial, &oracle, root, &members, &factory);
-
-        let window = config.span / f64::from(divisor);
-        let many = ParallelShardedSource::with_window(&config, &factory, threads, window);
-        let (rk, _) = run_with(&sim, many, &oracle, root, &members, &factory);
-        assert_bit_identical("faulted threads=k", &base, &rk);
+            let streamed = ShardedCommunitySource::new(&config, &factory);
+            let (base, base_stats) = run_with(&sim, streamed, &oracle, root, &members, &factory);
+            let sorted = TraceSource::new(&trace);
+            let (r, s) = run_with(&sim, sorted, &oracle, root, &members, &factory);
+            assert_bit_identical(label, &base, &r);
+            prop_assert_eq!(base_stats.contacts_total, s.contacts_total);
+            if !faulted {
+                prop_assert!(base.oracle.is_clean());
+            }
+        }
     }
 }

@@ -7,8 +7,7 @@
 //! * [`SimTime`] / [`SimDuration`] — finite, totally ordered virtual time.
 //! * [`EventQueue`] — a priority queue of timestamped events with
 //!   deterministic [`EventClass`]-then-FIFO tie-breaking.
-//! * [`Engine`] — a virtual clock driving an [`EventQueue`], with an optional
-//!   horizon.
+//! * [`Engine`] — a virtual clock driving an [`EventQueue`].
 //! * [`SimWorld`] — the per-run state (clock mirror, metrics registry,
 //!   invariant oracles) every workspace simulator shares.
 //! * [`RngFactory`] — reproducible, independently seeded random-number
@@ -28,14 +27,14 @@
 //! A two-event simulation:
 //!
 //! ```
-//! use omn_sim::{Engine, SimTime, SimDuration};
+//! use omn_sim::{Engine, SimTime};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Ev { Ping, Pong }
 //!
 //! let mut engine = Engine::new();
-//! engine.schedule_in(SimDuration::from_secs(1.0), Ev::Ping);
-//! engine.schedule_in(SimDuration::from_secs(2.0), Ev::Pong);
+//! engine.schedule_at(SimTime::from_secs(1.0), Ev::Ping);
+//! engine.schedule_at(SimTime::from_secs(2.0), Ev::Pong);
 //!
 //! let mut seen = Vec::new();
 //! while let Some(ev) = engine.next_event() {
@@ -56,7 +55,6 @@ pub mod metrics;
 pub mod oracle;
 mod queue;
 mod rng;
-mod shard;
 pub mod stats;
 mod time;
 mod world;
@@ -67,6 +65,5 @@ pub use link::{LinkConfig, LinkStats, Queued, TxQueues};
 pub use oracle::{InvariantOracle, OracleMode, OracleObs, OracleReport, OracleSink, Violation};
 pub use queue::{EventClass, EventQueue};
 pub use rng::{split_mix64, RngFactory};
-pub use shard::{ShardWindow, ShardWorker, ShardedRunner};
 pub use time::{SimDuration, SimTime, TimeError};
 pub use world::SimWorld;
