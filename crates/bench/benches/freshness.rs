@@ -158,7 +158,7 @@ fn bench_byte_budget(c: &mut Criterion) {
 
 fn bench_wire_codec(c: &mut Criterion) {
     // The E18 wire path: every exchange between async node tasks encodes
-    // a protocol message into a serialized omn-net frame and decodes it
+    // a protocol message into a serialized wire frame and decodes it
     // on arrival, so this round trip is paid twice per message — at the
     // 10^4-node firehose scale, millions of times per simulated day.
     use omn_contacts::NodeId;

@@ -6,14 +6,11 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use omn_caching::ncl::{select_ncls, NclConfig};
 use omn_contacts::synth::presets::TracePreset;
-use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
 use omn_contacts::{Centrality, ContactGraph, NodeId};
 use omn_core::freshness::FreshnessRequirement;
 use omn_core::hierarchy::{HierarchyStrategy, RefreshHierarchy};
 use omn_core::replication::ReplicationPlanner;
 use omn_core::sim::{FreshnessConfig, FreshnessSimulator, SchemeChoice};
-use omn_net::routing::Epidemic;
-use omn_net::{workload, NetworkSimulator, SimConfig};
 use omn_sim::{EventQueue, RngFactory, SimDuration, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -129,21 +126,6 @@ fn bench_simulations(c: &mut Criterion) {
             ..FreshnessConfig::default()
         });
         b.iter(|| sim.run(&trace, SchemeChoice::Hierarchical, &factory));
-    });
-
-    let routing_trace = generate_pairwise(
-        &PairwiseConfig::new(20, SimDuration::from_days(1.0)).mean_rate(1.0 / 1800.0),
-        &factory,
-    );
-    let demands = workload::uniform_unicast(&routing_trace, 50, &factory).unwrap();
-    c.bench_function("sim/routing_epidemic_20_nodes", |b| {
-        b.iter(|| {
-            NetworkSimulator::new(SimConfig::default()).run(
-                &routing_trace,
-                &mut Epidemic::new(),
-                &demands,
-            )
-        });
     });
 
     c.bench_function("synth/infocom_like_small", |b| {

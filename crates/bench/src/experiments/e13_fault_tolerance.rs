@@ -185,7 +185,7 @@ fn churn_sweep(params: &Params) {
                 p.mean_freshness,
                 r.mean_freshness,
                 r.extras.get("rejoin-events") as f64,
-                r.recovery_delays.mean().unwrap_or(0.0) / 3600.0,
+                r.recovery_delays.mean().map(|d| d / 3600.0),
                 r.extras.get("suspected-failures") as f64,
                 r.extras.get("false-suspicions") as f64,
             )
@@ -194,7 +194,7 @@ fn churn_sweep(params: &Params) {
             plain.push(p);
             aware.push(a);
             rejoins.push(rj);
-            recovery_h.push(rec);
+            recovery_h.extend(rec);
             suspected.push(su);
             false_susp.push(fs);
         }

@@ -185,7 +185,7 @@ pub fn run(plan: &CampaignPlan) {
             row.fresh_access.push(r.fresh_access_ratio());
             row.success.push(r.access.success_ratio());
             row.delay_h
-                .push(r.access.mean_delay().unwrap_or(0.0) / 3600.0);
+                .extend(r.access.mean_delay().map(|d| d / 3600.0));
             row.deferred
                 .push(r.access.extras.get("budget-deferred-transmissions") as f64);
             row.peak.push(f64::from(r.max_contact_used));

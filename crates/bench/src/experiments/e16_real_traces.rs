@@ -13,7 +13,7 @@
 //!   file, its population and span discovered by a probing pass.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use omn_contacts::synth::generate_pairwise;
 use omn_contacts::synth::presets::TracePreset;
@@ -151,12 +151,12 @@ pub fn run(plan: &CampaignPlan) {
     let params = &Params::from_plan(plan);
     banner("E16", "real traces: ingestion, calibration, freshness");
     match &params.trace {
-        Some(over) => run_override(over, &params.seeds),
-        None => run_registry(&params.seeds),
+        Some(over) => run_override(over, &params.seeds, plan.no_wall),
+        None => run_registry(&params.seeds, plan.no_wall),
     }
 }
 
-fn run_registry(seeds: &[u64]) {
+fn run_registry(seeds: &[u64], no_wall: bool) {
     let specs = registry(&repo_root());
     if specs.is_empty() {
         println!(
@@ -171,11 +171,15 @@ fn run_registry(seeds: &[u64]) {
         return;
     }
     for spec in &specs {
-        println!("\ndataset: {} ({})", spec.name, spec.path.display());
+        println!(
+            "\ndataset: {} ({})",
+            spec.name,
+            shown_path(&spec.path, no_wall)
+        );
         let start = Instant::now();
         match spec.ingest() {
             Ok(ingested) => {
-                report_ingestion(&ingested, start.elapsed().as_secs_f64());
+                report_ingestion(&ingested, (!no_wall).then(|| start.elapsed()));
                 campaign(&ingested.trace, seeds);
             }
             Err(e) => println!("  ingest failed: {e}; skipping"),
@@ -183,7 +187,7 @@ fn run_registry(seeds: &[u64]) {
     }
 }
 
-fn run_override(over: &TraceOverride, seeds: &[u64]) {
+fn run_override(over: &TraceOverride, seeds: &[u64], no_wall: bool) {
     let path = Path::new(&over.path);
     let format = resolve_format(path, over.format.as_deref()).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
@@ -195,7 +199,7 @@ fn run_override(over: &TraceOverride, seeds: &[u64]) {
     };
     println!(
         "\ndataset: --trace override ({}, format {format})",
-        path.display()
+        shown_path(path, no_wall)
     );
     let start = Instant::now();
     let found = probe(path, format).unwrap_or_else(|e| fail("probe", &e));
@@ -206,14 +210,29 @@ fn run_override(over: &TraceOverride, seeds: &[u64]) {
     };
     let config = IngestConfig::new(found.nodes.max(2), span).policy(RecordPolicy::Lenient);
     let ingested = ingest_file(path, format, config).unwrap_or_else(|e| fail("ingest", &e));
-    report_ingestion(&ingested, start.elapsed().as_secs_f64());
+    report_ingestion(&ingested, (!no_wall).then(|| start.elapsed()));
     campaign(&ingested.trace, seeds);
 }
 
+/// How a dataset path is printed: as given, or, for an absolute path
+/// under `--no-wall`, relative to the repository root (else just its file
+/// name), so the table does not depend on where the checkout lives.
+fn shown_path(path: &Path, no_wall: bool) -> String {
+    if !no_wall || path.is_relative() {
+        return path.display().to_string();
+    }
+    path.strip_prefix(repo_root())
+        .ok()
+        .or_else(|| path.file_name().map(Path::new))
+        .unwrap_or(path)
+        .display()
+        .to_string()
+}
+
 /// Prints the ingestion summary: volume, normalization counters, checksum,
-/// and parse throughput (wall-clock, so deliberately not part of any
-/// pinned golden).
-fn report_ingestion(ingested: &Ingested, wall: f64) {
+/// and, given the parse's wall-clock time (`None` under `--no-wall`),
+/// parse throughput.
+fn report_ingestion(ingested: &Ingested, wall: Option<Duration>) {
     let s = ingested.stats;
     println!(
         "  ingested: {} contacts from {} records ({} devices, span {:.2} days, {} bytes, \
@@ -236,8 +255,11 @@ fn report_ingestion(ingested: &Ingested, wall: f64) {
         s.past_span,
         s.clamped,
     );
-    let mb_s = ingested.bytes as f64 / 1e6 / wall.max(1e-9);
-    println!("  parse throughput: {mb_s:.1} MB/s ({wall:.4} s wall)");
+    if let Some(wall) = wall {
+        let wall = wall.as_secs_f64();
+        let mb_s = ingested.bytes as f64 / 1e6 / wall.max(1e-9);
+        println!("  parse throughput: {mb_s:.1} MB/s ({wall:.4} s wall)");
+    }
 }
 
 /// Fits the model, prints the calibration check, and runs the freshness

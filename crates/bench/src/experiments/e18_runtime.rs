@@ -5,7 +5,7 @@
 //! drives two executions: the discrete-event simulator (every experiment
 //! above) and the async node runtime in `omn-node`, where each node is a
 //! task on a hand-rolled executor and every exchange crosses a real
-//! serialized `omn-net` wire frame. In lockstep mode the runtime replays
+//! serialized wire frame. In lockstep mode the runtime replays
 //! the same contact trace, so every observable the paper's evaluation
 //! reads must coincide *exactly* — the final per-node version vector, the
 //! time-weighted freshness ratio (bit-identical), transmission totals and
@@ -266,7 +266,7 @@ pub fn run(plan: &CampaignPlan) {
     let w = &params.world;
     println!(
         "world: {}-node pairwise trace, {} days, {}-hour refresh period\n\
-         runtime: one async task per node, serialized omn-net wire frames,\n\
+         runtime: one async task per node, serialized wire frames,\n\
          invariant oracles in campaign mode on both executions\n",
         w.nodes,
         w.span_days,
@@ -277,7 +277,7 @@ pub fn run(plan: &CampaignPlan) {
         run_lockstep_leg(params);
     }
     if params.legs.contains(&RunLeg::Firehose) {
-        run_firehose_leg(params);
+        run_firehose_leg(params, !plan.no_wall);
     }
 }
 
@@ -325,17 +325,15 @@ fn run_lockstep_leg(params: &Params) {
     );
 }
 
-/// The firehose throughput leg.
-fn run_firehose_leg(params: &Params) {
-    let mut sweep = Table::new([
-        "nodes",
-        "contacts",
-        "births",
-        "msgs sent",
-        "msgs recv",
-        "wall s",
-        "msgs/s",
-    ]);
+/// The firehose throughput leg. Message counts depend on how far the
+/// node tasks lag the link supervisor, so only `show_wall` runs print them
+/// beside the wall-clock columns.
+fn run_firehose_leg(params: &Params, show_wall: bool) {
+    let mut header = vec!["nodes", "contacts", "births"];
+    if show_wall {
+        header.extend(["msgs sent", "msgs recv", "wall s", "msgs/s"]);
+    }
+    let mut sweep = Table::new(header);
     for &nodes in &params.nodes {
         let start = Instant::now();
         let report = throughput_point(nodes, 11);
@@ -348,15 +346,20 @@ fn run_firehose_leg(params: &Params) {
             report.decode_errors, 0,
             "{nodes} nodes: frames failed to decode"
         );
-        sweep.row([
+        let mut row = vec![
             nodes.to_string(),
             report.contacts.to_string(),
             report.births.to_string(),
-            report.messages_sent.to_string(),
-            report.messages_received.to_string(),
-            format!("{wall:.1}"),
-            format!("{:.0}", report.msgs_per_sec()),
-        ]);
+        ];
+        if show_wall {
+            row.extend([
+                report.messages_sent.to_string(),
+                report.messages_received.to_string(),
+                format!("{wall:.1}"),
+                format!("{:.0}", report.msgs_per_sec()),
+            ]);
+        }
+        sweep.row(row);
     }
     sweep.print();
     println!(

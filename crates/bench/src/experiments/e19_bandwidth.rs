@@ -275,13 +275,13 @@ pub fn run(plan: &CampaignPlan) {
             row.fresh_access.push(r.fresh_access_ratio());
             row.success.push(r.access.success_ratio());
             row.delay_h
-                .push(r.access.mean_delay().unwrap_or(0.0) / 3600.0);
+                .extend(r.access.mean_delay().map(|d| d / 3600.0));
             row.byte_deferred
                 .push(r.access.extras.get("byte-deferred-transmissions") as f64);
             row.queued.push(stats.enqueued_msgs as f64);
             row.queue_drops.push(stats.dropped_msgs as f64);
             row.tx_delay_h
-                .push(stats.mean_delay_secs().unwrap_or(0.0) / 3600.0);
+                .extend(stats.mean_delay_secs().map(|d| d / 3600.0));
             row.peak_bytes.push(r.max_contact_bytes as f64);
         }
         row

@@ -11,7 +11,6 @@
 //! | E7 | [`e07_caching_nodes`] | scalability with caching nodes |
 //! | E8 | [`e08_ablation`] | design-choice ablations |
 //! | E9 | [`e09_data_access`] | data-access validity (with caching layer) |
-//! | E10 | [`e10_routing_baselines`] | routing substrate sanity |
 //! | E11 | [`e11_robustness`] | node-departure robustness (extension) |
 //! | E12 | [`e12_load_distribution`] | refresh-load distribution |
 //! | E13 | [`e13_fault_tolerance`] | loss + churn fault tolerance (extension) |
@@ -31,7 +30,6 @@ pub mod e06_overhead;
 pub mod e07_caching_nodes;
 pub mod e08_ablation;
 pub mod e09_data_access;
-pub mod e10_routing_baselines;
 pub mod e11_robustness;
 pub mod e12_load_distribution;
 pub mod e13_fault_tolerance;

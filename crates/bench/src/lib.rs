@@ -30,16 +30,27 @@ use omn_sim::stats::mean_ci95;
 /// Default seeds for multi-replication experiments.
 pub const SEEDS: [u64; 5] = [11, 23, 37, 53, 71];
 
-/// Formats samples as `mean ± half-width` (95% CI).
+/// What a mean cell reads when no run observed the quantity.
+const NO_SAMPLES: &str = "n/a (n=0)";
+
+/// Formats samples as `mean ± half-width` (95% CI), or `n/a (n=0)` for
+/// an empty sample.
 #[must_use]
 pub fn fmt_ci(samples: &[f64], decimals: usize) -> String {
+    if samples.is_empty() {
+        return NO_SAMPLES.to_owned();
+    }
     let (mean, hw) = mean_ci95(samples);
     format!("{mean:.prec$} ± {hw:.prec$}", prec = decimals)
 }
 
-/// Formats samples as `mean ± half-width` with engineering-style counts.
+/// Formats samples as `mean ± half-width` with engineering-style counts,
+/// or `n/a (n=0)` for an empty sample.
 #[must_use]
 pub fn fmt_ci_count(samples: &[f64]) -> String {
+    if samples.is_empty() {
+        return NO_SAMPLES.to_owned();
+    }
     let (mean, hw) = mean_ci95(samples);
     format!("{mean:.0} ± {hw:.0}")
 }

@@ -20,7 +20,6 @@ pub const EMBEDDED: &[(&str, &str)] = &[
     ("e07", include_str!("../../../../specs/e07.scn")),
     ("e08", include_str!("../../../../specs/e08.scn")),
     ("e09", include_str!("../../../../specs/e09.scn")),
-    ("e10", include_str!("../../../../specs/e10.scn")),
     ("e11", include_str!("../../../../specs/e11.scn")),
     ("e12", include_str!("../../../../specs/e12.scn")),
     ("e13", include_str!("../../../../specs/e13.scn")),
@@ -62,7 +61,6 @@ pub fn execute(plan: &CampaignPlan) {
         CampaignKind::CachingNodes => e::e07_caching_nodes::run(plan),
         CampaignKind::Ablation => e::e08_ablation::run(plan),
         CampaignKind::DataAccess => e::e09_data_access::run(plan),
-        CampaignKind::RoutingBaselines => e::e10_routing_baselines::run(plan),
         CampaignKind::Robustness => e::e11_robustness::run(plan),
         CampaignKind::LoadDistribution => e::e12_load_distribution::run(plan),
         CampaignKind::FaultTolerance => e::e13_fault_tolerance::run(plan),

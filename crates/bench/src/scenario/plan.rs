@@ -65,7 +65,6 @@ fn allowed_axes(kind: CampaignKind) -> &'static [&'static str] {
         CampaignKind::CachingNodes | CampaignKind::LoadDistribution => &["caching-nodes"],
         CampaignKind::Ablation => &["fanout"],
         CampaignKind::DataAccess => &["catalog", "load", "loss", "churn"],
-        CampaignKind::RoutingBaselines => &["messages", "loss", "churn"],
         CampaignKind::Robustness => &["departed"],
         CampaignKind::FaultTolerance => &["loss", "churn"],
         CampaignKind::JointWorld => &["catalog", "query-deadline-h"],
@@ -108,7 +107,6 @@ fn axis_domain(kind: CampaignKind, key: &str) -> Option<Domain> {
         "nodes" => Domain::Count(1.0, "at least one node"),
         "points" => Domain::Count(1.0, "at least one timeline row"),
         "catalog" => Domain::Count(1.0, "at least one data item"),
-        "messages" => Domain::Count(1.0, "at least one message"),
         "load" => Domain::Count(1.0, "at least one query"),
         "cdf-max-k" => Domain::Count(1.0, "at least one CDF row"),
         _ => return None,

@@ -91,8 +91,6 @@ pub enum CampaignKind {
     Ablation,
     /// E9 — data-access validity with the caching stack.
     DataAccess,
-    /// E10 — routing-substrate baselines.
-    RoutingBaselines,
     /// E11 — robustness to permanent departures.
     Robustness,
     /// E12 — refresh-load distribution.
@@ -115,7 +113,7 @@ pub enum CampaignKind {
 
 impl CampaignKind {
     /// Every campaign kind, in experiment order.
-    pub const ALL: [CampaignKind; 19] = [
+    pub const ALL: [CampaignKind; 18] = [
         CampaignKind::TraceStats,
         CampaignKind::DelayValidation,
         CampaignKind::FreshnessTime,
@@ -125,7 +123,6 @@ impl CampaignKind {
         CampaignKind::CachingNodes,
         CampaignKind::Ablation,
         CampaignKind::DataAccess,
-        CampaignKind::RoutingBaselines,
         CampaignKind::Robustness,
         CampaignKind::LoadDistribution,
         CampaignKind::FaultTolerance,
@@ -150,7 +147,6 @@ impl CampaignKind {
             CampaignKind::CachingNodes => "caching-nodes",
             CampaignKind::Ablation => "ablation",
             CampaignKind::DataAccess => "data-access",
-            CampaignKind::RoutingBaselines => "routing-baselines",
             CampaignKind::Robustness => "robustness",
             CampaignKind::LoadDistribution => "load-distribution",
             CampaignKind::FaultTolerance => "fault-tolerance",

@@ -62,7 +62,6 @@ fn params_debug(plan: &CampaignPlan) -> String {
         K::CachingNodes => format!("{:?}", e::e07_caching_nodes::Params::from_plan(plan)),
         K::Ablation => format!("{:?}", e::e08_ablation::Params::from_plan(plan)),
         K::DataAccess => format!("{:?}", e::e09_data_access::Params::from_plan(plan)),
-        K::RoutingBaselines => format!("{:?}", e::e10_routing_baselines::Params::from_plan(plan)),
         K::Robustness => format!("{:?}", e::e11_robustness::Params::from_plan(plan)),
         K::LoadDistribution => format!("{:?}", e::e12_load_distribution::Params::from_plan(plan)),
         K::FaultTolerance => format!("{:?}", e::e13_fault_tolerance::Params::from_plan(plan)),

@@ -2,8 +2,9 @@
 //!
 //! Opportunistic (delay/disruption-tolerant) mobile networks are driven by
 //! *contacts*: intervals during which two devices are within radio range and
-//! can exchange data. Everything above this crate — routing, cooperative
-//! caching, cache-freshness maintenance — consumes a [`ContactTrace`].
+//! can exchange data. Everything above this crate — cooperative caching,
+//! cache-freshness maintenance, the node runtime — consumes a
+//! [`ContactTrace`] or a streamed [`ContactSource`].
 //!
 //! The crate provides:
 //!

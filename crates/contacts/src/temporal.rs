@@ -5,7 +5,9 @@
 //! contacts with non-decreasing times. [`earliest_arrivals`] computes, for
 //! a given start node and time, the earliest instant every other node could
 //! possibly hold the data — the *oracle lower bound* on any dissemination
-//! scheme's delay (epidemic routing with infinite bandwidth achieves it).
+//! scheme's delay (epidemic flooding with infinite bandwidth achieves it;
+//! `crates/core/tests/epidemic_oracle.rs` checks the freshness layer's
+//! epidemic refresh against it exactly).
 //!
 //! The freshness evaluation uses this to report how close a scheme gets to
 //! the best any protocol could do on the same trace.

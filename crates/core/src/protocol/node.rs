@@ -62,7 +62,7 @@ pub struct PeerSummary {
 }
 
 /// A protocol message exchanged between nodes. `omn-node` serializes these
-/// into `omn-net` wire frames; the replay harness hands them over
+/// into length-prefixed wire frames; the replay harness hands them over
 /// directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolMsg {

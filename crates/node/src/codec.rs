@@ -1,15 +1,16 @@
-//! Serialization of [`ProtocolMsg`] into `omn-net` wire frames.
+//! Serialization of [`ProtocolMsg`] into [`wire`](crate::wire) frames.
 //!
 //! Every message a node task sends crosses its link as real bytes: the
-//! protocol payload is tag-encoded, wrapped in an [`omn_net::Frame`] whose
+//! protocol payload is tag-encoded, wrapped in a [`Frame`] whose
 //! [`Message`] header carries the sender, receiver, and send instant, and
 //! decoded back on the receiving side. Decode failures are typed
 //! ([`CodecError`]) and surface as counted drops, never panics.
 
 use omn_contacts::NodeId;
 use omn_core::protocol::{PeerSummary, ProtocolMsg};
-use omn_net::{Frame, Message, MessageId, WireError};
 use omn_sim::SimTime;
+
+use crate::wire::{Frame, Message, MessageId, WireError};
 
 /// Payload tag for [`ProtocolMsg::Refresh`].
 const TAG_REFRESH: u8 = 0;

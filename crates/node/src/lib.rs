@@ -4,7 +4,7 @@
 //! protocol as one global state machine, this crate runs the *same*
 //! sans-io core ([`NodeProtocol`](omn_core::protocol::NodeProtocol)) the
 //! way a deployment would: one async task per node, real serialized
-//! `omn-net` wire frames between them over bounded channels, and a link
+//! [`wire`] frames between them over bounded channels, and a link
 //! supervisor replaying any
 //! [`ContactSource`](omn_contacts::ContactSource) as link up/down
 //! events.
@@ -40,6 +40,7 @@ pub mod rt;
 pub mod runtime;
 #[cfg(feature = "net-loopback")]
 pub mod transport;
+pub mod wire;
 
 pub use codec::CodecError;
 pub use report::{FirehoseReport, NodeReport, RuntimeReport};

@@ -12,10 +12,10 @@ use std::net::TcpStream;
 
 use omn_contacts::NodeId;
 use omn_core::protocol::ProtocolMsg;
-use omn_net::Frame;
 use omn_sim::SimTime;
 
 use crate::codec::{self, CodecError};
+use crate::wire::Frame;
 
 /// A length-delimited frame codec over one TCP stream.
 #[derive(Debug)]

@@ -1,10 +1,10 @@
 //! The per-run world state shared by the workspace simulators.
 //!
 //! Every simulator in the workspace — cache freshness, the joint
-//! caching + freshness world, opportunistic routing, the node runtime's
-//! lockstep mode — carries a [`SimWorld`]: a virtual-clock mirror, a
-//! registry of counters accumulated as the run unfolds, and the installed
-//! invariant oracles with their violation sink.
+//! caching + freshness world, the node runtime's lockstep mode — carries
+//! a [`SimWorld`]: a virtual-clock mirror, a registry of counters
+//! accumulated as the run unfolds, and the installed invariant oracles
+//! with their violation sink.
 //!
 //! The world is deliberately contact-agnostic: `omn-contacts` depends on
 //! this crate, so the contact-feed half of the substrate (the

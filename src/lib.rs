@@ -15,9 +15,6 @@
 //! * [`contacts`] ([`omn_contacts`]) — contact traces, synthetic mobility
 //!   (heterogeneous pairwise, community, grid-cell, diurnal), contact
 //!   graphs, centrality, and online rate estimation.
-//! * [`net`] ([`omn_net`]) — DTN routing substrate: buffers, TTLs,
-//!   Epidemic / Direct / Spray-and-Wait / PRoPHET, and a delivery
-//!   simulator.
 //! * [`caching`] ([`omn_caching`]) — the NCL cooperative caching framework:
 //!   central-node selection, cache stores and replacement policies, Zipf
 //!   query workloads, and the data-access layer the joint world drives.
@@ -55,5 +52,4 @@
 pub use omn_caching as caching;
 pub use omn_contacts as contacts;
 pub use omn_core as core;
-pub use omn_net as net;
 pub use omn_sim as sim;

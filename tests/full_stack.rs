@@ -81,31 +81,3 @@ fn freshness_maintains_validity_of_access() {
     // same queries).
     assert_eq!(hier.queries_served, none.queries_served);
 }
-
-#[test]
-fn routing_layer_agrees_with_contact_graph_reachability() {
-    // If epidemic routing can deliver between two nodes, the contact graph
-    // must show them connected — ties the net and contacts crates together.
-    use omn::contacts::ContactGraph;
-    use omn::net::routing::Epidemic;
-    use omn::net::{workload, NetworkSimulator, SimConfig};
-
-    let factory = RngFactory::new(3);
-    let trace = TracePreset::RealityLike.generate_small(&factory);
-    let demands = workload::uniform_unicast(&trace, 60, &factory).unwrap();
-    let report =
-        NetworkSimulator::new(SimConfig::default()).run(&trace, &mut Epidemic::new(), &demands);
-
-    let graph = ContactGraph::from_trace(&trace);
-    // Epidemic delivery implies temporal reachability, which implies static
-    // connectivity for at least the delivered pairs; sanity-check that the
-    // graph is non-trivial whenever something was delivered.
-    if report.delivered > 0 {
-        let reachable = graph
-            .shortest_expected_delays(omn::contacts::NodeId(0))
-            .iter()
-            .flatten()
-            .count();
-        assert!(reachable > 1);
-    }
-}
