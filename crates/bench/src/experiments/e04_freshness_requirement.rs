@@ -60,6 +60,7 @@ pub fn run(plan: &CampaignPlan) {
         "satisfaction",
         "mean freshness",
         "replicas/run",
+        "infeasible edges",
     ]);
 
     let seeds = &params.seeds;
@@ -93,6 +94,9 @@ pub fn run(plan: &CampaignPlan) {
             let edges = plans.len().max(1) as f64;
             let relays = plans.values().map(|p| p.relays.len() as f64).sum::<f64>() / edges;
             let hop_p = plans.values().map(|p| p.achieved_probability).sum::<f64>() / edges;
+            // Share of tree edges whose plan falls short of its per-hop
+            // target (the planner stops at `max_relays`).
+            let infeasible = plans.values().filter(|p| !p.meets_target()).count() as f64 / edges;
 
             // Measured view.
             let report = sim.run(&trace, SchemeChoice::Hierarchical, &RngFactory::new(seed));
@@ -102,6 +106,7 @@ pub fn run(plan: &CampaignPlan) {
                 report.requirement_satisfaction,
                 report.mean_freshness,
                 report.replicas as f64,
+                infeasible,
             )
         });
 
@@ -110,12 +115,14 @@ pub fn run(plan: &CampaignPlan) {
         let mut sat = Vec::new();
         let mut fresh = Vec::new();
         let mut replicas = Vec::new();
-        for (relays, hop_p, s, f, r) in per {
+        let mut infeasible = Vec::new();
+        for (relays, hop_p, s, f, r, i) in per {
             relays_per_edge.push(relays);
             planned.push(hop_p);
             sat.push(s);
             fresh.push(f);
             replicas.push(r);
+            infeasible.push(i);
         }
         table.row([
             format!("{q:.1}"),
@@ -124,6 +131,7 @@ pub fn run(plan: &CampaignPlan) {
             fmt_ci(&sat, 3),
             fmt_ci(&fresh, 3),
             crate::fmt_ci_count(&replicas),
+            fmt_ci(&infeasible, 3),
         ]);
     }
     table.print();

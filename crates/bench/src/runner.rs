@@ -11,7 +11,7 @@
 //! Command-line control is consolidated in [`CliOverrides`], parsed **once
 //! per process** (binaries call [`cli_init`], which rejects unknown flags
 //! and malformed values with a one-line error plus usage on exit code 2;
-//! library consumers such as tests and benches fall back to a lenient
+//! library consumers such as tests fall back to a lenient
 //! parse that ignores harness flags). The scenario planner folds every
 //! override into the compiled plan, so experiments read them from there.
 //! The flags (honored by `run_all` and `omn-scn`):
@@ -234,7 +234,7 @@ pub fn cli_init_from(args: Vec<String>) -> &'static CliOverrides {
 }
 
 /// The process-wide override set. Binaries populate it via [`cli_init`];
-/// in any other host (tests, benches) the first call parses the process
+/// in any other host (tests) the first call parses the process
 /// arguments leniently, so harness flags are ignored instead of fatal.
 #[must_use]
 pub fn overrides() -> &'static CliOverrides {

@@ -8,7 +8,7 @@
 //!
 //! 1. **front-end** ([`spec`]) — [`parse`] turns the text into a typed
 //!    [`ScenarioSpec`] (world, schemes, fault plan, retry policy,
-//!    contention, oracle mode, seeds, matrix sweeps, output selection),
+//!    contention, seeds, matrix sweeps, output options),
 //!    with line/field-numbered [`ScenarioError`] diagnostics and a
 //!    canonical [`ScenarioSpec::render`] (parse → render → parse is
 //!    idempotent);
@@ -35,5 +35,5 @@ pub use exec::{compile_str, embedded, execute, EMBEDDED};
 pub use plan::{compile, CampaignPlan, PlanPoint};
 pub use spec::{
     parse, CampaignKind, ContentionSpec, FaultRung, LinkSpec, MatrixAxis, OutputSpec,
-    PairwiseWorld, RetrySpec, RunLeg, RunSpec, ScenarioError, ScenarioSpec, TableFilter, WorldSpec,
+    PairwiseWorld, RetrySpec, RunLeg, RunSpec, ScenarioError, ScenarioSpec, WorldSpec,
 };

@@ -461,12 +461,6 @@ impl CampaignPlan {
             .unwrap_or_else(|| default.to_vec())
     }
 
-    /// Whether the named table is selected by `[output] tables`.
-    #[must_use]
-    pub fn table_enabled(&self, name: &str) -> bool {
-        self.spec.output.tables.enabled(name)
-    }
-
     /// A deterministic one-screen summary of the plan (the `omn-scn plan`
     /// subcommand and the plan golden files).
     #[must_use]
@@ -520,9 +514,6 @@ impl CampaignPlan {
         }
         if let Some(retry) = self.spec.run.retry {
             out.push_str(&format!("retry: {retry:?}\n"));
-        }
-        if let Some(oracle) = self.spec.run.oracle {
-            out.push_str(&format!("oracle: {oracle:?}\n"));
         }
         if let Some(legs) = &self.spec.run.legs {
             out.push_str(&format!(

@@ -27,7 +27,6 @@ use std::fmt;
 
 use omn_core::joint::ContentionPriority;
 use omn_core::sim::SchemeChoice;
-use omn_sim::OracleMode;
 
 use omn_contacts::synth::presets::TracePreset;
 
@@ -302,18 +301,16 @@ impl RunLeg {
     }
 }
 
-/// The `[run]` section: seed set, scheme choice, oracle mode, retry
-/// policy, and runtime legs. Every field is optional — the campaign
-/// driver's defaults apply when absent, and command-line flags override
-/// whatever the spec says.
+/// The `[run]` section: seed set, scheme choice, retry policy, and
+/// runtime legs. Every field is optional — the campaign driver's defaults
+/// apply when absent, and command-line flags override whatever the spec
+/// says.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunSpec {
     /// Replication seed set (`None` = the harness default).
     pub seeds: Option<Vec<u64>>,
     /// Schemes to compare (`None` = the campaign's default set).
     pub schemes: Option<Vec<SchemeChoice>>,
-    /// Invariant-oracle mode (`None` = resolved from `OMN_ORACLE`).
-    pub oracle: Option<OracleMode>,
     /// Retry policy for resilient campaigns.
     pub retry: Option<RetrySpec>,
     /// Which legs of a runtime campaign run (`None` = all legs).
@@ -371,21 +368,6 @@ pub struct MatrixAxis {
     pub values: Vec<f64>,
 }
 
-/// Which tables of a multi-table campaign print (`None` = all).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TableFilter(pub Option<Vec<String>>);
-
-impl TableFilter {
-    /// Whether the named table is selected.
-    #[must_use]
-    pub fn enabled(&self, name: &str) -> bool {
-        match &self.0 {
-            None => true,
-            Some(tables) => tables.iter().any(|t| t == name),
-        }
-    }
-}
-
 /// The `[output]` section: golden-file binding and presentation knobs.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OutputSpec {
@@ -394,8 +376,6 @@ pub struct OutputSpec {
     pub golden: Option<String>,
     /// Hide wall-clock columns (byte-diffable output).
     pub no_wall: bool,
-    /// Which tables print (`None` = all).
-    pub tables: TableFilter,
 }
 
 /// A parsed scenario: the typed form of one `.scn` file.
@@ -409,7 +389,7 @@ pub struct ScenarioSpec {
     pub campaign: CampaignKind,
     /// Contact-world selection.
     pub world: WorldSpec,
-    /// Seeds, schemes, oracle mode, retry policy, runtime legs.
+    /// Seeds, schemes, retry policy, runtime legs.
     pub run: RunSpec,
     /// Fault ladder (empty = fault-free).
     pub faults: Vec<FaultRung>,
@@ -448,20 +428,6 @@ fn priority_from_name(name: &str) -> Option<ContentionPriority> {
     ]
     .into_iter()
     .find(|&p| priority_name(p) == name)
-}
-
-fn oracle_name(mode: OracleMode) -> &'static str {
-    match mode {
-        OracleMode::Campaign => "campaign",
-        OracleMode::Strict => "strict",
-        OracleMode::Off => "off",
-    }
-}
-
-fn oracle_from_name(name: &str) -> Option<OracleMode> {
-    [OracleMode::Campaign, OracleMode::Strict, OracleMode::Off]
-        .into_iter()
-        .find(|&m| oracle_name(m) == name)
 }
 
 // ---------------------------------------------------------------------
@@ -938,19 +904,6 @@ fn parse_run(section: &RawSection) -> Result<RunSpec, ScenarioError> {
                 }
                 run.schemes = Some(schemes);
             }
-            "oracle" => {
-                reject_dup(run.oracle.is_some(), kv, "[run] oracle")?;
-                run.oracle = Some(oracle_from_name(&kv.value).ok_or_else(|| {
-                    err(
-                        kv.line,
-                        qualified(section, &kv.key),
-                        format!(
-                            "unknown oracle mode `{}` (expected campaign, strict, or off)",
-                            kv.value
-                        ),
-                    )
-                })?);
-            }
             "retry" => {
                 reject_dup(run.retry.is_some(), kv, "[run] retry")?;
                 run.retry = Some(RetrySpec::parse(&kv.value).ok_or_else(|| {
@@ -1201,7 +1154,6 @@ fn parse_output(section: &RawSection) -> Result<OutputSpec, ScenarioError> {
     let mut out = OutputSpec::default();
     let mut golden_seen = false;
     let mut no_wall_seen = false;
-    let mut tables_seen = false;
     for kv in &section.kvs {
         match kv.key.as_str() {
             "golden" => {
@@ -1213,19 +1165,6 @@ fn parse_output(section: &RawSection) -> Result<OutputSpec, ScenarioError> {
                 reject_dup(no_wall_seen, kv, "[output] no-wall")?;
                 no_wall_seen = true;
                 out.no_wall = parse_bool(section, kv)?;
-            }
-            "tables" => {
-                reject_dup(tables_seen, kv, "[output] tables")?;
-                tables_seen = true;
-                let list: Vec<String> = split_list(&kv.value).map(str::to_owned).collect();
-                if list.is_empty() {
-                    return Err(err(
-                        kv.line,
-                        qualified(section, &kv.key),
-                        "expected at least one table name",
-                    ));
-                }
-                out.tables = TableFilter(Some(list));
             }
             other => {
                 return Err(err(
@@ -1320,9 +1259,6 @@ impl ScenarioSpec {
                         .join(", ")
                 ));
             }
-            if let Some(oracle) = run.oracle {
-                out.push_str(&format!("oracle = {}\n", oracle_name(oracle)));
-            }
             if let Some(retry) = run.retry {
                 out.push_str(&format!("retry = {}\n", retry.render()));
             }
@@ -1399,9 +1335,6 @@ impl ScenarioSpec {
             }
             if output.no_wall {
                 out.push_str("no-wall = true\n");
-            }
-            if let Some(tables) = &output.tables.0 {
-                out.push_str(&format!("tables = {}\n", tables.join(", ")));
             }
         }
         out

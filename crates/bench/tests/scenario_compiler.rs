@@ -35,21 +35,27 @@ fn non_header_first_line_cites_line_one() {
 }
 
 #[test]
-fn unknown_run_key_names_line_and_field() {
-    for key in ["frobnicate", "threads"] {
+fn unknown_key_names_line_and_field() {
+    // `[run] oracle` and `[output] tables` were once parsed but read by no
+    // driver; a spec that still sets them must fail, not do nothing.
+    for (section, key, value) in [
+        ("run", "frobnicate", "2"),
+        ("run", "threads", "2"),
+        ("run", "oracle", "strict"),
+        ("output", "tables", "x"),
+    ] {
         let err = parse_err(&format!(
             "scenario t\n\
              campaign = chaos\n\
              \n\
-             [run]\n\
-             {key} = 2\n"
+             [{section}]\n\
+             {key} = {value}\n"
         ));
         assert_eq!(err.line, 5);
-        assert_eq!(err.field, format!("[run] {key}"));
-        assert!(err.message.contains("unknown key in [run]"));
+        assert_eq!(err.field, format!("[{section}] {key}"));
         assert_eq!(
             err.to_string(),
-            format!("line 5: [run] {key}: unknown key in [run]")
+            format!("line 5: [{section}] {key}: unknown key in [{section}]")
         );
     }
 }
@@ -510,13 +516,6 @@ const RETRIES: [&str; 4] = [
     "retry = exponential(4, 2h)\n",
 ];
 
-const ORACLES: [&str; 4] = [
-    "",
-    "oracle = off\n",
-    "oracle = campaign\n",
-    "oracle = strict\n",
-];
-
 const LEGS: [&str; 4] = [
     "",
     "legs = lockstep\n",
@@ -538,7 +537,6 @@ fn build_spec(
     campaign: &str,
     world: &str,
     retry: &str,
-    oracle: &str,
     legs: &str,
     link: &str,
     seeds: &[u64],
@@ -551,14 +549,13 @@ fn build_spec(
     text.push_str("title = generated round-trip scenario\n");
     text.push_str(&format!("campaign = {campaign}\n"));
     text.push_str(world);
-    if !seeds.is_empty() || !retry.is_empty() || !oracle.is_empty() || !legs.is_empty() {
+    if !seeds.is_empty() || !retry.is_empty() || !legs.is_empty() {
         text.push_str("[run]\n");
         if !seeds.is_empty() {
             let list: Vec<String> = seeds.iter().map(u64::to_string).collect();
             text.push_str(&format!("seeds = {}\n", list.join(", ")));
         }
         text.push_str(retry);
-        text.push_str(oracle);
         text.push_str(legs);
     }
     if rungs > 0 {
@@ -604,7 +601,6 @@ proptest! {
         campaign_i in 0usize..CAMPAIGNS.len(),
         world_i in 0usize..5,
         retry_i in 0usize..4,
-        oracle_i in 0usize..4,
         legs_i in 0usize..4,
         link_i in 0usize..3,
         seeds in prop::collection::vec(1u64..10_000, 0..4),
@@ -619,7 +615,6 @@ proptest! {
             CAMPAIGNS[campaign_i],
             WORLDS[world_i],
             RETRIES[retry_i],
-            ORACLES[oracle_i],
             LEGS[legs_i],
             LINKS[link_i],
             &seeds,

@@ -129,15 +129,6 @@ impl<'a> ContactDriver<TraceSource<'a>> {
         ContactDriver::from_source(TraceSource::new(trace), faults, factory)
     }
 
-    /// Creates a driver over `trace` with an already-built plan (or none).
-    #[must_use]
-    pub fn with_plan(
-        trace: &'a ContactTrace,
-        plan: Option<FaultPlan>,
-    ) -> ContactDriver<TraceSource<'a>> {
-        ContactDriver::from_source_with_plan(TraceSource::new(trace), plan)
-    }
-
     /// The trace this driver feeds from.
     #[must_use]
     pub fn trace(&self) -> &'a ContactTrace {
@@ -158,12 +149,6 @@ impl<S: ContactSource> ContactDriver<S> {
     ) -> ContactDriver<S> {
         let plan = faults
             .map(|config| FaultPlan::build(config, source.node_count(), source.span(), factory));
-        ContactDriver::from_source_with_plan(source, plan)
-    }
-
-    /// Creates a driver over a source with an already-built plan (or none).
-    #[must_use]
-    pub fn from_source_with_plan(source: S, plan: Option<FaultPlan>) -> ContactDriver<S> {
         ContactDriver {
             source,
             plan,

@@ -54,7 +54,7 @@ impl TracePreset {
     }
 
     /// Generates a reduced-size variant (fewer nodes, shorter span) with the
-    /// same texture, for fast tests and micro-benchmarks.
+    /// same texture, for fast tests.
     #[must_use]
     pub fn generate_small(self, factory: &RngFactory) -> ContactTrace {
         match self {

@@ -100,12 +100,6 @@ impl ReplayHarness {
         &self.members
     }
 
-    /// A node's current self-description.
-    #[must_use]
-    pub fn summary_of(&self, node: NodeId) -> super::node::PeerSummary {
-        self.nodes[node.index()].summary()
-    }
-
     /// The source produced `version` at `now`.
     pub fn birth(&mut self, now: SimTime, version: u64) {
         self.current_version = version;

@@ -146,11 +146,6 @@ impl SampleHistogram {
         self.sorted = false;
     }
 
-    /// Records a duration, in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs());
-    }
-
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {
