@@ -110,7 +110,7 @@ fn check(paths: &[String], flags: Vec<String>) {
                     println!("error: {shown}: {e}");
                     bad += 1;
                 }
-                Ok(text) => match compile_str(&text, overrides) {
+                Ok(text) => match compile_str(&text, &overrides) {
                     Ok(plan) => println!(
                         "ok: {shown} (scenario {}, {} points)",
                         plan.spec.name,
@@ -140,7 +140,7 @@ fn plan(paths: &[String], flags: Vec<String>) {
         eprintln!("error: {msg}");
         exit(1);
     });
-    match compile_str(&text, overrides) {
+    match compile_str(&text, &overrides) {
         Ok(plan) => print!("{}", plan.render_summary()),
         Err(err) => {
             eprintln!("error: {arg}: {err}");
@@ -159,7 +159,7 @@ fn run(paths: &[String], flags: Vec<String>) {
         eprintln!("error: {msg}");
         exit(1);
     });
-    match compile_str(&text, overrides) {
+    match compile_str(&text, &overrides) {
         Ok(plan) => execute(&plan),
         Err(err) => {
             eprintln!("error: {arg}: {err}");

@@ -2,14 +2,13 @@
 //!
 //! Every experiment executes through the scenario compiler: `run_all`
 //! walks the embedded `specs/eNN.scn` set, compiles each spec (with the
-//! process-wide CLI overrides folded in) and dispatches the plan to its
-//! campaign driver.
+//! CLI overrides folded in) and dispatches the plan to its campaign
+//! driver.
 //!
 //! Seed replications run in parallel (one thread per seed, merged in seed
 //! order — byte-identical to serial). `--seeds a,b,c` overrides the seed
 //! set; `--nodes a,b,c` overrides E15's node-count sweep; `--trace path`
-//! (with optional `--trace-format name`) points E16 at one dataset file;
-//! `--serial` forces sequential execution.
+//! (with optional `--trace-format name`) points E16 at one dataset file.
 //!
 //! A panicking experiment does not take the campaign down with it: each
 //! experiment runs under `catch_unwind`, the campaign continues, and the
@@ -39,7 +38,7 @@ fn main() -> ExitCode {
     let mut failed: Vec<&str> = Vec::new();
     for &(name, text) in EMBEDDED {
         let start = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| match compile_str(text, overrides) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| match compile_str(text, &overrides) {
             Ok(plan) => execute(&plan),
             Err(err) => panic!("specs/{name}.scn: {err}"),
         }));

@@ -1,8 +1,10 @@
 //! E4 — Freshness vs the freshness requirement `q`: replication is sized
 //! analytically to the requirement, so the *planned* per-hop success
 //! probability tracks `q` and the replica count grows with it; measured
-//! satisfaction rises accordingly until the trace's diurnal night gaps
-//! bound what any deadline-limited scheme can achieve.
+//! satisfaction rises accordingly until two limits bind: the planner's
+//! relay cap (most tree edges stay short of their per-hop target, the
+//! `infeasible edges` column) and the trace's diurnal night gaps, which no
+//! deadline-limited scheme can bridge.
 
 use omn_contacts::synth::presets::TracePreset;
 use omn_contacts::ContactGraph;
@@ -138,8 +140,10 @@ pub fn run(plan: &CampaignPlan) {
     println!(
         "\n(expected shape: planned per-hop probability and relays/edge \
          scale with q — the analytical sizing responds to the requirement; \
-         measured satisfaction rises with q but saturates below 1.0 because \
-         versions born into the diurnal night cannot meet a short deadline \
-         under any replication)"
+         measured satisfaction rises with q but saturates below 1.0 for two \
+         reasons: the planner's relay cap leaves most tree edges short of \
+         their per-hop target at every q (the `infeasible edges` column), \
+         and versions born into the diurnal night cannot meet a short \
+         deadline under any replication)"
     );
 }

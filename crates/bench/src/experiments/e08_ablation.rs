@@ -5,7 +5,6 @@
 //! (d) distributed maintenance (estimated planning, rebuilds,
 //!     re-parenting) vs one-shot oracle planning.
 
-use omn_contacts::estimate::EstimatorKind;
 use omn_contacts::synth::presets::TracePreset;
 use omn_core::hierarchy::HierarchyStrategy;
 use omn_core::scheme::{HierarchicalConfig, HierarchicalScheme, PlanningMode};
@@ -159,16 +158,12 @@ fn maintenance_ablation(preset: TracePreset, seeds: &[u64]) {
     ];
 
     for (name, mut hconfig) in variants {
-        let base = config_for(preset);
+        let config = config_for(preset);
         hconfig.strategy = HierarchyStrategy::GreedySed {
-            fanout: base.fanout,
+            fanout: config.fanout,
         };
-        hconfig.replication = Some(base.requirement);
-        hconfig.max_relays = base.max_relays;
-        let config = FreshnessConfig {
-            estimator: EstimatorKind::Cumulative,
-            ..base
-        };
+        hconfig.replication = Some(config.requirement);
+        hconfig.max_relays = config.max_relays;
         let (fresh, sat): (Vec<f64>, Vec<f64>) = per_seed(seeds, |seed| {
             let trace = trace_for(preset, seed);
             let mut scheme = HierarchicalScheme::new(hconfig);

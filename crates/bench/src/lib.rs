@@ -10,7 +10,7 @@
 //! confidence intervals, printed as `mean ± hw`. Seed replications run in
 //! parallel through [`per_seed`] (one thread per seed, results merged in
 //! seed order, byte-identical to a serial run); `--seeds a,b,c` overrides
-//! the seed set and `--serial` forces sequential execution.
+//! the seed set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,10 +20,7 @@ pub mod golden;
 mod runner;
 pub mod scenario;
 
-pub use runner::{
-    cli_init, cli_init_from, overrides, per_seed, serial_requested, usage, CliOverrides,
-    TraceOverride,
-};
+pub use runner::{cli_init, cli_init_from, per_seed, usage, CliOverrides, TraceOverride};
 
 use omn_sim::stats::mean_ci95;
 

@@ -8,13 +8,12 @@
 //! [`RngFactory`](omn_sim::RngFactory) streams, threads share nothing, and
 //! floating-point folds happen on the caller's thread in a fixed order.
 //!
-//! Command-line control is consolidated in [`CliOverrides`], parsed **once
-//! per process** (binaries call [`cli_init`], which rejects unknown flags
-//! and malformed values with a one-line error plus usage on exit code 2;
-//! library consumers such as tests fall back to a lenient
-//! parse that ignores harness flags). The scenario planner folds every
-//! override into the compiled plan, so experiments read them from there.
-//! The flags (honored by `run_all` and `omn-scn`):
+//! Command-line control is consolidated in [`CliOverrides`], parsed
+//! **once per process** (binaries call [`cli_init`], which rejects unknown
+//! flags and malformed values with a one-line error plus usage on exit
+//! code 2). The scenario planner folds every override into the compiled
+//! plan, so experiments read them from there. The flags (honored by
+//! `run_all` and `omn-scn`):
 //!
 //! * `--seeds 11,23,37` (or `--seeds=11,23,37`) — replace the spec's seed
 //!   set (default [`SEEDS`](crate::SEEDS)).
@@ -25,29 +24,25 @@
 //! * `--trace-format name` (or `--trace-format=name`) — the dump format of
 //!   `--trace` (`reality`, `haggle`, or `omn-v1`); sniffed from the file
 //!   when omitted.
-//! * `--serial` — run seeds sequentially on the calling thread (useful for
-//!   profiling and for demonstrating serial/parallel equivalence).
 //! * `--no-wall` — hide wall-clock columns so two runs can be
 //!   byte-for-byte diffed.
 //! * `--headline` — run the single large headline point instead of the
 //!   sweep (E15: 10⁶ nodes, one seed).
 
-use std::sync::OnceLock;
 use std::thread;
 
 /// Runs `f` once per seed — in parallel, one thread per seed — and returns
 /// the results in seed order.
 ///
-/// Runs serially on the calling thread when only one seed is given or when
-/// `--serial` is on the command line; the results are identical either way
-/// (each closure invocation is independent, and joins happen in seed
-/// order).
+/// Runs on the calling thread when only one seed is given; the results
+/// equal a serial map either way (each closure invocation is independent,
+/// and joins happen in seed order).
 ///
 /// # Panics
 ///
 /// Panics if `f` panics for any seed.
 pub fn per_seed<T: Send>(seeds: &[u64], f: impl Fn(u64) -> T + Sync) -> Vec<T> {
-    if seeds.len() <= 1 || serial_requested() {
+    if seeds.len() <= 1 {
         return seeds.iter().map(|&s| f(s)).collect();
     }
     let f = &f;
@@ -85,8 +80,6 @@ pub struct CliOverrides {
     pub seeds: Option<Vec<u64>>,
     /// `--nodes a,b,c`: replacement node-count sweep.
     pub nodes: Option<Vec<usize>>,
-    /// `--serial`: run seed replications sequentially.
-    pub serial: bool,
     /// `--no-wall`: hide wall-clock columns.
     pub no_wall: bool,
     /// `--headline`: run the single large headline point.
@@ -98,24 +91,18 @@ pub struct CliOverrides {
 /// One-line usage string printed with every flag error.
 #[must_use]
 pub fn usage() -> &'static str {
-    "usage: [--seeds A,B,C] [--nodes A,B,C] [--serial] [--no-wall] [--headline] \
+    "usage: [--seeds A,B,C] [--nodes A,B,C] [--no-wall] [--headline] \
      [--trace FILE [--trace-format reality|haggle|omn-v1]]"
 }
 
 impl CliOverrides {
     /// Parses a full argument list (without the program name).
     ///
-    /// `strict` rejects unknown flags, positional arguments, and
-    /// malformed values with a one-line message; lenient mode skips
-    /// anything unrecognized (test and bench harnesses inject their own
-    /// flags into `std::env::args`) but still applies every flag it does
-    /// recognize.
-    ///
     /// # Errors
     ///
     /// Returns the one-line diagnostic (no usage suffix) on the first
-    /// unknown flag or malformed value in strict mode.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I, strict: bool) -> Result<Self, String> {
+    /// unknown flag, positional argument or malformed value.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut over = CliOverrides::default();
         let mut args = args.into_iter().peekable();
         while let Some(arg) = args.next() {
@@ -133,60 +120,38 @@ impl CliOverrides {
                     _ => Err(format!("{flag} requires a value")),
                 }
             };
-            let result: Result<(), String> = match flag.as_str() {
-                "--seeds" => value("--seeds").and_then(|v| {
-                    parse_list(&v, "--seeds").map(|list| {
-                        if !list.is_empty() {
-                            over.seeds = Some(list);
-                        }
-                    })
-                }),
-                "--nodes" => value("--nodes").and_then(|v| {
-                    parse_list::<u64>(&v, "--nodes").map(|list| {
-                        if !list.is_empty() {
-                            over.nodes = Some(list.into_iter().map(|n| n as usize).collect());
-                        }
-                    })
-                }),
-                "--serial" => {
-                    over.serial = true;
-                    Ok(())
+            match flag.as_str() {
+                "--seeds" => {
+                    let list = parse_list(&value("--seeds")?, "--seeds")?;
+                    if !list.is_empty() {
+                        over.seeds = Some(list);
+                    }
                 }
-                "--no-wall" => {
-                    over.no_wall = true;
-                    Ok(())
+                "--nodes" => {
+                    let list = parse_list::<u64>(&value("--nodes")?, "--nodes")?;
+                    if !list.is_empty() {
+                        over.nodes = Some(list.into_iter().map(|n| n as usize).collect());
+                    }
                 }
-                "--headline" => {
-                    over.headline = true;
-                    Ok(())
-                }
-                "--trace" => value("--trace").map(|v| {
+                "--no-wall" => over.no_wall = true,
+                "--headline" => over.headline = true,
+                "--trace" => {
+                    let path = value("--trace")?;
                     let format = over.trace.take().and_then(|t| t.format);
-                    over.trace = Some(TraceOverride { path: v, format });
-                }),
-                "--trace-format" => value("--trace-format").map(|v| match over.trace.take() {
-                    Some(mut t) => {
-                        t.format = Some(v);
-                        over.trace = Some(t);
-                    }
-                    None => {
-                        over.trace = Some(TraceOverride {
-                            path: String::new(),
-                            format: Some(v),
-                        });
-                    }
-                }),
-                _ if strict => Err(if flag.starts_with("--") {
-                    format!("unknown flag `{flag}`")
-                } else {
-                    format!("unexpected argument `{flag}`")
-                }),
-                _ => Ok(()),
-            };
-            if let Err(e) = result {
-                if strict {
-                    return Err(e);
+                    over.trace = Some(TraceOverride { path, format });
                 }
+                "--trace-format" => {
+                    let format = Some(value("--trace-format")?);
+                    over.trace = Some(match over.trace.take() {
+                        Some(t) => TraceOverride { format, ..t },
+                        None => TraceOverride {
+                            path: String::new(),
+                            format,
+                        },
+                    });
+                }
+                _ if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+                _ => return Err(format!("unexpected argument `{flag}`")),
             }
         }
         // `--trace-format` alone is not an override.
@@ -211,42 +176,22 @@ fn parse_list<T: std::str::FromStr>(input: &str, flag: &str) -> Result<Vec<T>, S
         .collect()
 }
 
-static GLOBAL: OnceLock<CliOverrides> = OnceLock::new();
-
-/// Parses the process arguments strictly, stores the result as the
-/// process-wide override set, and returns it. Every binary calls this
-/// first; an unknown flag or malformed value prints a one-line error with
-/// usage and exits with code 2.
-pub fn cli_init() -> &'static CliOverrides {
+/// Parses the process arguments and returns the override set. Every
+/// binary calls this first; an unknown flag or malformed value prints a
+/// one-line error with usage and exits with code 2.
+#[must_use]
+pub fn cli_init() -> CliOverrides {
     cli_init_from(std::env::args().skip(1).collect())
 }
 
 /// [`cli_init`] over an explicit argument list (used by `omn-scn`, which
 /// strips its subcommand and positional paths first).
-pub fn cli_init_from(args: Vec<String>) -> &'static CliOverrides {
-    match CliOverrides::parse(args, true) {
-        Ok(over) => GLOBAL.get_or_init(|| over),
-        Err(msg) => {
-            eprintln!("error: {msg}\n{}", usage());
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The process-wide override set. Binaries populate it via [`cli_init`];
-/// in any other host (tests) the first call parses the process
-/// arguments leniently, so harness flags are ignored instead of fatal.
 #[must_use]
-pub fn overrides() -> &'static CliOverrides {
-    GLOBAL.get_or_init(|| {
-        CliOverrides::parse(std::env::args().skip(1), false).expect("lenient parse never fails")
+pub fn cli_init_from(args: Vec<String>) -> CliOverrides {
+    CliOverrides::parse(args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\n{}", usage());
+        std::process::exit(2);
     })
-}
-
-/// Whether `--serial` is on the command line.
-#[must_use]
-pub fn serial_requested() -> bool {
-    overrides().serial
 }
 
 #[cfg(test)]
@@ -255,7 +200,7 @@ mod tests {
     use crate::SEEDS;
 
     fn strict(list: &[&str]) -> Result<CliOverrides, String> {
-        CliOverrides::parse(list.iter().map(|s| (*s).to_owned()), true)
+        CliOverrides::parse(list.iter().map(|s| (*s).to_owned()))
     }
 
     fn ok(list: &[&str]) -> CliOverrides {
@@ -273,7 +218,6 @@ mod tests {
     #[test]
     fn default_seeds_without_flag() {
         assert_eq!(resolved_seeds(&ok(&[])), SEEDS.to_vec());
-        assert_eq!(resolved_seeds(&ok(&["--serial"])), SEEDS.to_vec());
     }
 
     #[test]
@@ -360,21 +304,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flag_is_an_error_in_strict_mode_only() {
+    fn unknown_flag_is_an_error() {
         let err = strict(&["--frobnicate"]).unwrap_err();
         assert!(err.contains("unknown flag `--frobnicate`"), "{err}");
         let err = strict(&["--threads", "2"]).unwrap_err();
         assert!(err.contains("unknown flag `--threads`"), "{err}");
+        let err = strict(&["--seeds", "1,2", "--serial"]).unwrap_err();
+        assert!(err.contains("unknown flag `--serial`"), "{err}");
         let err = strict(&["positional"]).unwrap_err();
         assert!(err.contains("unexpected argument `positional`"), "{err}");
-        // Lenient mode (test harnesses inject their own flags) skips them
-        // but still honors everything recognized.
-        let over = CliOverrides::parse(
-            ["--test-threads", "4", "--seeds", "1,2"].map(String::from),
-            false,
-        )
-        .expect("lenient never fails");
-        assert_eq!(over.seeds, Some(vec![1, 2]));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!    canonical [`ScenarioSpec::render`] (parse → render → parse is
 //!    idempotent);
 //! 2. **planner** ([`plan`]) — [`compile`] validates the spec against its
-//!    campaign kind, folds in the process-wide
+//!    campaign kind, folds in the command-line
 //!    [`CliOverrides`](crate::CliOverrides) (precedence: CLI > spec >
 //!    driver default), and expands the matrix into a [`CampaignPlan`];
 //! 3. **executor** ([`exec`]) — [`execute`] drives the existing

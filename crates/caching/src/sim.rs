@@ -4,7 +4,7 @@
 //!
 //! 1. **Placement** — each source pushes a copy of each of its items toward
 //!    every NCL by single-copy gradient forwarding on the expected-delay
-//!    metric; relays may cache passing data opportunistically.
+//!    metric; relays cache the data passing through them.
 //! 2. **Query forwarding** — a query travels by gradient toward the nearest
 //!    NCL; any encountered node holding an unexpired copy answers it.
 //! 3. **Response return** — the answer travels back to the requester by
@@ -126,8 +126,6 @@ pub struct CachingConfig {
     pub cache_capacity: usize,
     /// Query deadline: unanswered queries older than this fail.
     pub query_deadline: SimDuration,
-    /// Whether relays cache data passing through them.
-    pub opportunistic_caching: bool,
     /// Wire lengths of the protocol's messages, charged against the
     /// contact byte capacity when one is attached. Irrelevant (any value)
     /// under slot-counting budgets.
@@ -140,7 +138,6 @@ impl Default for CachingConfig {
             ncl: NclConfig::new(4),
             cache_capacity: 16,
             query_deadline: SimDuration::from_hours(24.0),
-            opportunistic_caching: true,
             sizes: MessageSizes::default(),
         }
     }
@@ -295,7 +292,6 @@ pub struct CachingRun<'a> {
     /// Current version per item (all zeros unless a freshness layer
     /// advances them via [`CachingRun::set_version`]).
     versions: Vec<u64>,
-    opportunistic: bool,
     sizes: MessageSizes,
     deadline: SimDuration,
     last_contact_start: Option<SimTime>,
@@ -369,7 +365,6 @@ impl<'a> CachingRun<'a> {
             pending_queries: Vec::new(),
             pending_responses: Vec::new(),
             versions: vec![0; catalog.len()],
-            opportunistic: config.opportunistic_caching,
             sizes: config.sizes,
             deadline: config.query_deadline,
             last_contact_start,
@@ -557,7 +552,6 @@ impl<'a> CachingRun<'a> {
             pending_queries,
             pending_responses,
             versions,
-            opportunistic,
             sizes,
             satisfied,
             satisfied_fresh,
@@ -565,7 +559,6 @@ impl<'a> CachingRun<'a> {
             transmissions,
             ..
         } = self;
-        let opportunistic = *opportunistic;
         let sizes = *sizes;
         let delay_to = |x: NodeId, target: NodeId| delays[target.index()][x.index()];
         // Strictly-closer test with a small margin to avoid ping-ponging on
@@ -598,9 +591,7 @@ impl<'a> CachingRun<'a> {
             } else if closer(peer, carrier, p.target_ncl)
                 && budgeted_hop(driver, budget, extras, transmissions, data_bytes)
             {
-                if opportunistic {
-                    stores[peer.index()].put(meta, versions[p.item.index()], now, *policy);
-                }
+                stores[peer.index()].put(meta, versions[p.item.index()], now, *policy);
                 p.carrier = peer;
             }
         }

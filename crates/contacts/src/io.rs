@@ -55,13 +55,6 @@ pub enum ParseErrorKind {
         /// Why the time was rejected.
         reason: String,
     },
-    /// A token that should be one of a fixed set of words was not.
-    Token {
-        /// Which field.
-        field: &'static str,
-        /// The offending token.
-        token: String,
-    },
     /// The record does not form a valid contact interval.
     Contact(ContactError),
     /// A node id is outside the declared population.
@@ -83,10 +76,6 @@ pub enum ParseErrorKind {
     OutOfOrder,
     /// A contact line appeared before the `nodes`/`span` header.
     HeaderFirst,
-    /// A `down` event without a matching `up` (connectivity reports).
-    OrphanDown,
-    /// A duplicate `up` for an already-open connection.
-    DuplicateUp,
 }
 
 impl fmt::Display for ParseErrorKind {
@@ -100,7 +89,6 @@ impl fmt::Display for ParseErrorKind {
                 write!(f, "bad {field}: `{token}` is not a number")
             }
             ParseErrorKind::Time { field, reason } => write!(f, "bad {field}: {reason}"),
-            ParseErrorKind::Token { field, token } => write!(f, "bad {field}: `{token}`"),
             ParseErrorKind::Contact(e) => write!(f, "bad contact: {e}"),
             ParseErrorKind::NodeOutOfRange { id, limit } => {
                 write!(f, "node id {id} out of range (population {limit})")
@@ -115,8 +103,6 @@ impl fmt::Display for ParseErrorKind {
                 "contact line before `nodes`/`span` header (streaming reads \
                  need the header first)"
             ),
-            ParseErrorKind::OrphanDown => write!(f, "`down` without matching `up`"),
-            ParseErrorKind::DuplicateUp => write!(f, "duplicate `up` for open connection"),
         }
     }
 }
@@ -476,124 +462,6 @@ impl<R: BufRead> ContactSource for StreamingTraceSource<R> {
     }
 }
 
-/// Reads a trace in the ONE simulator's connectivity-report format:
-///
-/// ```text
-/// 120.5 CONN 3 17 up
-/// 188.0 CONN 3 17 down
-/// ```
-///
-/// Events must be in non-decreasing time order (as ONE emits them). Node
-/// ids must be non-negative integers; the node count is inferred as
-/// `max id + 1`. Connections still up at the end of input are closed at
-/// the last event time.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Parse`] for malformed lines, a `down` without a
-/// matching `up`, or a duplicate `up`; [`TraceIoError::Invalid`] if the
-/// resulting trace violates trace invariants.
-pub fn read_one_report<R: BufRead>(r: R) -> Result<ContactTrace, TraceIoError> {
-    use std::collections::HashMap;
-
-    let mut open: HashMap<(u32, u32), SimTime> = HashMap::new();
-    let mut contacts = Vec::new();
-    let mut max_node = 0u32;
-    let mut last_time = SimTime::ZERO;
-
-    for (idx, line) in r.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 5 {
-            return Err(parse_err(
-                line_no,
-                ParseErrorKind::FieldCount {
-                    expected: "`<time> CONN <a> <b> up|down`",
-                    got: fields.len(),
-                },
-            ));
-        }
-        if fields[1] != "CONN" {
-            return Err(parse_err(
-                line_no,
-                ParseErrorKind::Token {
-                    field: "record type (expected CONN)",
-                    token: fields[1].to_owned(),
-                },
-            ));
-        }
-        let time_secs: f64 = fields[0]
-            .parse()
-            .map_err(|_| parse_err(line_no, number_kind("time", fields[0])))?;
-        let time = SimTime::try_from_secs(time_secs)
-            .map_err(|e| parse_err(line_no, time_kind("time", &e)))?;
-        if time < last_time {
-            return Err(parse_err(line_no, ParseErrorKind::OutOfOrder));
-        }
-        last_time = time;
-        let a: u32 = fields[2]
-            .parse()
-            .map_err(|_| parse_err(line_no, number_kind("node id", fields[2])))?;
-        let b: u32 = fields[3]
-            .parse()
-            .map_err(|_| parse_err(line_no, number_kind("node id", fields[3])))?;
-        if a == b {
-            return Err(parse_err(
-                line_no,
-                ParseErrorKind::Contact(ContactError::SelfContact),
-            ));
-        }
-        max_node = max_node.max(a).max(b);
-        let key = if a < b { (a, b) } else { (b, a) };
-        match fields[4] {
-            "up" => {
-                if open.insert(key, time).is_some() {
-                    return Err(parse_err(line_no, ParseErrorKind::DuplicateUp));
-                }
-            }
-            "down" => {
-                let start = open
-                    .remove(&key)
-                    .ok_or_else(|| parse_err(line_no, ParseErrorKind::OrphanDown))?;
-                if time > start {
-                    contacts.push(
-                        Contact::new(NodeId(key.0), NodeId(key.1), start, time)
-                            .expect("validated interval"),
-                    );
-                }
-            }
-            other => {
-                return Err(parse_err(
-                    line_no,
-                    ParseErrorKind::Token {
-                        field: "event (expected up|down)",
-                        token: other.to_owned(),
-                    },
-                ));
-            }
-        }
-    }
-
-    // Close dangling connections at the last event time.
-    for ((a, b), start) in open {
-        if last_time > start {
-            contacts.push(
-                Contact::new(NodeId(a), NodeId(b), start, last_time).expect("validated interval"),
-            );
-        }
-    }
-
-    TraceBuilder::new(max_node as usize + 1)
-        .contacts(contacts)
-        .build()
-        .map_err(|e| TraceIoError::Invalid(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,71 +569,6 @@ mod tests {
         let rendered = e.to_string();
         assert!(rendered.contains("line 7"), "{rendered}");
         assert!(rendered.contains("past span"), "{rendered}");
-    }
-
-    #[test]
-    fn one_report_basic() {
-        let text = "\
-10 CONN 0 3 up
-20 CONN 1 2 up
-25 CONN 0 3 down
-40 CONN 1 2 down
-";
-        let trace = read_one_report(text.as_bytes()).unwrap();
-        assert_eq!(trace.node_count(), 4);
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.contacts()[0].pair(), (NodeId(0), NodeId(3)));
-        assert_eq!(trace.contacts()[0].duration().as_secs(), 15.0);
-        assert_eq!(trace.span(), SimTime::from_secs(40.0));
-    }
-
-    #[test]
-    fn one_report_closes_dangling_connections() {
-        let text = "10 CONN 0 1 up\n50 CONN 2 3 up\n60 CONN 2 3 down\n";
-        let trace = read_one_report(text.as_bytes()).unwrap();
-        // 0-1 closed at the last event time (60).
-        assert_eq!(trace.len(), 2);
-        let c01 = trace
-            .contacts()
-            .iter()
-            .find(|c| c.pair() == (NodeId(0), NodeId(1)))
-            .unwrap();
-        assert_eq!(c01.end(), SimTime::from_secs(60.0));
-    }
-
-    #[test]
-    fn one_report_rejects_orphan_down() {
-        let err = read_one_report("10 CONN 0 1 down\n".as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("without matching"));
-    }
-
-    #[test]
-    fn one_report_rejects_duplicate_up() {
-        let text = "10 CONN 0 1 up\n20 CONN 1 0 up\n";
-        let err = read_one_report(text.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("duplicate"));
-    }
-
-    #[test]
-    fn one_report_rejects_time_regression() {
-        let text = "20 CONN 0 1 up\n10 CONN 0 1 down\n";
-        let err = read_one_report(text.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("time order"));
-    }
-
-    #[test]
-    fn one_report_rejects_malformed_lines() {
-        assert!(read_one_report("banana\n".as_bytes()).is_err());
-        assert!(read_one_report("10 LINK 0 1 up\n".as_bytes()).is_err());
-        assert!(read_one_report("10 CONN 0 1 sideways\n".as_bytes()).is_err());
-        assert!(read_one_report("10 CONN 1 1 up\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn one_report_accepts_comments_and_blanks() {
-        let text = "# Scenario X\n\n5 CONN 0 1 up\n9 CONN 0 1 down\n";
-        let trace = read_one_report(text.as_bytes()).unwrap();
-        assert_eq!(trace.len(), 1);
     }
 
     #[test]

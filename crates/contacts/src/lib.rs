@@ -16,9 +16,8 @@
 //! * [`ContactGraph`] — the pairwise contact-rate graph with expected-delay
 //!   shortest paths and the centrality metrics used for Network Central
 //!   Location (NCL) selection.
-//! * [`estimate`] — online pairwise contact-rate estimators (cumulative MLE,
-//!   EWMA, sliding window) that protocol nodes maintain from observed
-//!   contacts.
+//! * [`estimate`] — the online pairwise contact-rate table (cumulative
+//!   MLE) that protocol nodes maintain from observed contacts.
 //! * [`ContactSource`] — an ordered contact stream pulled lazily: a cursor
 //!   over a materialized trace ([`TraceSource`]), a line-by-line file
 //!   reader ([`io::StreamingTraceSource`]), or a sharded large-N generator
@@ -35,10 +34,9 @@
 //!   permanent departures, and lagged estimator observations, all seeded
 //!   from dedicated [`RngFactory`](omn_sim::RngFactory) streams.
 //! * [`synth`] — synthetic mobility generators (heterogeneous pairwise
-//!   Poisson, community-structured, grid-cell random walk, diurnal
-//!   modulation) with presets calibrated to the published statistics of the
-//!   MIT Reality and Haggle/Infocom'06 traces that the reproduced paper
-//!   evaluates on.
+//!   Poisson, community-structured, diurnal modulation) with presets
+//!   calibrated to the published statistics of the MIT Reality and
+//!   Haggle/Infocom'06 traces that the reproduced paper evaluates on.
 //!
 //! # Example
 //!

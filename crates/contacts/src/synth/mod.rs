@@ -8,23 +8,17 @@
 //!   others almost never ([`generate_pairwise`], Gamma-distributed rates);
 //! * **community structure** — intra-community rates far exceed
 //!   inter-community rates ([`community::CommunityConfig`]);
-//! * **spatial locality** — contacts arise from co-location under a random
-//!   walk with home-cell bias ([`cell::CellMobilityConfig`]);
 //! * **diurnal periodicity** — activity drops at night
-//!   ([`diurnal::DiurnalProfile`]);
-//! * **daily routines** — home/office/evening cycles producing diurnal and
-//!   community structure mechanistically
-//!   ([`working_day::WorkingDayConfig`]).
+//!   ([`diurnal::DiurnalProfile`]).
 //!
 //! [`presets`] combines these into trace presets calibrated to the published
-//! aggregate statistics of the traces the reproduced paper evaluates on.
+//! aggregate statistics of the traces the reproduced paper evaluates on, and
+//! [`sharded`] streams the community model at 10⁴–10⁵ nodes.
 
-pub mod cell;
 pub mod community;
 pub mod diurnal;
 pub mod presets;
 pub mod sharded;
-pub mod working_day;
 
 use omn_sim::{RngFactory, SimDuration, SimTime};
 use rand::Rng;

@@ -6,9 +6,7 @@ use omn_contacts::{Contact, ContactGraph, NodeId, TimelineKind, TraceBuilder, Tr
 use omn_sim::{RngFactory, SimDuration, SimTime};
 use proptest::prelude::*;
 
-use omn_contacts::estimate::{
-    CumulativeMle, EstimatorKind, EwmaRate, PairRateTable, RateEstimator, SlidingWindowRate,
-};
+use omn_contacts::estimate::PairRateTable;
 
 /// A strategy producing arbitrary valid contacts over `n` nodes.
 fn contact_strategy(n: u32) -> impl Strategy<Value = Contact> {
@@ -28,21 +26,11 @@ fn contact_strategy(n: u32) -> impl Strategy<Value = Contact> {
     )
 }
 
-/// A strategy over the three estimator kinds with arbitrary parameters.
-fn estimator_kind() -> impl Strategy<Value = EstimatorKind> {
-    (0u8..3, 0.01f64..1.0, 0.5f64..500.0).prop_map(|(which, alpha, window)| match which {
-        0 => EstimatorKind::Cumulative,
-        1 => EstimatorKind::Ewma(alpha),
-        _ => EstimatorKind::Window(SimDuration::from_secs(window)),
-    })
-}
-
-/// The reference model of a [`PairRateTable`]: one boxed estimator per
-/// unordered pair in a hash map.
+/// The reference model of a [`PairRateTable`]: a contact count per
+/// unordered pair in a hash map, with rate `n / (now − start)`.
 struct ReferenceTable {
-    kind: EstimatorKind,
     start: SimTime,
-    pairs: std::collections::HashMap<(NodeId, NodeId), Box<dyn RateEstimator>>,
+    counts: std::collections::HashMap<(NodeId, NodeId), u64>,
 }
 
 impl ReferenceTable {
@@ -50,31 +38,30 @@ impl ReferenceTable {
         (a.min(b), a.max(b))
     }
 
-    fn record_contact(&mut self, a: NodeId, b: NodeId, t: SimTime) {
-        let (kind, start) = (self.kind, self.start);
-        self.pairs
-            .entry(ReferenceTable::key(a, b))
-            .or_insert_with(|| -> Box<dyn RateEstimator> {
-                match kind {
-                    EstimatorKind::Cumulative => Box::new(CumulativeMle::new(start)),
-                    EstimatorKind::Ewma(alpha) => Box::new(EwmaRate::new(alpha)),
-                    EstimatorKind::Window(w) => Box::new(SlidingWindowRate::new(w)),
-                }
-            })
-            .record_contact(t);
+    fn record_contact(&mut self, a: NodeId, b: NodeId) {
+        *self.counts.entry(ReferenceTable::key(a, b)).or_insert(0) += 1;
+    }
+
+    fn rate_of(&self, n: u64, now: SimTime) -> f64 {
+        let elapsed = now.as_secs() - self.start.as_secs();
+        if elapsed > 0.0 {
+            n as f64 / elapsed
+        } else {
+            0.0
+        }
     }
 
     fn rate(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
-        self.pairs
+        self.counts
             .get(&ReferenceTable::key(a, b))
-            .map_or(0.0, |e| e.rate(now))
+            .map_or(0.0, |&n| self.rate_of(n, now))
     }
 
     fn to_graph(&self, node_count: usize, now: SimTime) -> ContactGraph {
         let mut g = ContactGraph::new(node_count);
-        for (&(a, b), e) in &self.pairs {
+        for (&(a, b), &n) in &self.counts {
             if a.index() < node_count && b.index() < node_count {
-                g.set_rate(a, b, e.rate(now));
+                g.set_rate(a, b, self.rate_of(n, now));
             }
         }
         g
@@ -492,23 +479,20 @@ proptest! {
     }
 
     /// The adjacency-row `PairRateTable` answers exactly as a hash map of
-    /// per-pair estimators does, for every estimator kind: bit-equal rates
-    /// for every pair, mid-run and after, the same pair count, and the same
-    /// exported graph.
+    /// per-pair counts does: bit-equal rates `n / elapsed` for every pair,
+    /// mid-run and after, the same pair count, and the same exported graph.
     #[test]
-    fn pair_rate_table_matches_a_map_of_estimators(
-        kind in estimator_kind(),
+    fn pair_rate_table_matches_a_map_of_counts(
         start in 0.0f64..200.0,
         nodes in 2u32..14,
         contacts in prop::collection::vec((0u32..14, 0u32..14, 0u8..4, 0.0f64..50.0), 0..200),
         later in 0.0f64..1e3,
     ) {
         let start = SimTime::from_secs(start);
-        let mut table = PairRateTable::new(kind, start);
+        let mut table = PairRateTable::new(start);
         let mut reference = ReferenceTable {
-            kind,
             start,
-            pairs: std::collections::HashMap::new(),
+            counts: std::collections::HashMap::new(),
         };
         let mut now = 0.0;
         for &(a, b, repeat, gap) in &contacts {
@@ -521,11 +505,11 @@ proptest! {
                 now += gap;
             }
             let t = SimTime::from_secs(now);
-            table.record_contact(a, b, t);
-            reference.record_contact(a, b, t);
+            table.record_contact(a, b);
+            reference.record_contact(a, b);
             prop_assert_eq!(table.rate(b, a, t).to_bits(), reference.rate(a, b, t).to_bits());
         }
-        prop_assert_eq!(table.observed_pairs(), reference.pairs.len());
+        prop_assert_eq!(table.observed_pairs(), reference.counts.len());
         for at in [now, now + later] {
             let at = SimTime::from_secs(at);
             for a in (0..nodes).map(NodeId) {

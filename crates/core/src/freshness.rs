@@ -1,12 +1,12 @@
 //! Versioned data, freshness requirements, and freshness measurement.
 
 use omn_sim::metrics::{TimeWeightedMean, Timeline};
-use omn_sim::{RngFactory, SimDuration, SimTime};
-use rand_distr::{Distribution, Exp};
+use omn_sim::{SimDuration, SimTime};
 
 /// The update schedule of a data item: when each version is born at the
-/// source. Version `v` supersedes version `v − 1`; a cached copy is *fresh*
-/// at time `t` iff it holds the version current at `t`.
+/// source. Births are periodic, as the paper's data is "refreshed
+/// periodically". Version `v` supersedes version `v − 1`; a cached copy is
+/// *fresh* at time `t` iff it holds the version current at `t`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateSchedule {
     births: Vec<SimTime>,
@@ -28,52 +28,6 @@ impl UpdateSchedule {
             births.push(t);
             t += period;
         }
-        UpdateSchedule { births }
-    }
-
-    /// Poisson updates with the given mean inter-update time (version 0 at
-    /// time zero). Deterministic given the factory (stream `"updates"`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_interval` is zero.
-    #[must_use]
-    pub fn poisson(
-        mean_interval: SimDuration,
-        span: SimTime,
-        factory: &RngFactory,
-    ) -> UpdateSchedule {
-        assert!(
-            !mean_interval.is_zero(),
-            "UpdateSchedule::poisson: zero mean interval"
-        );
-        let mut rng = factory.stream("updates");
-        let exp = Exp::new(1.0 / mean_interval.as_secs()).expect("positive rate");
-        let mut births = vec![SimTime::ZERO];
-        let mut t = 0.0;
-        loop {
-            t += exp.sample(&mut rng);
-            if t > span.as_secs() {
-                break;
-            }
-            births.push(SimTime::from_secs(t));
-        }
-        UpdateSchedule { births }
-    }
-
-    /// Builds a schedule from explicit birth times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `births` is empty, does not start at a well-defined
-    /// minimum, or is not strictly increasing.
-    #[must_use]
-    pub fn from_births(births: Vec<SimTime>) -> UpdateSchedule {
-        assert!(!births.is_empty(), "UpdateSchedule: no versions");
-        assert!(
-            births.windows(2).all(|w| w[0] < w[1]),
-            "UpdateSchedule: births must be strictly increasing"
-        );
         UpdateSchedule { births }
     }
 
@@ -107,17 +61,6 @@ impl UpdateSchedule {
     #[must_use]
     pub fn births(&self) -> &[SimTime] {
         &self.births
-    }
-
-    /// Mean interval between consecutive versions, or `None` with fewer
-    /// than two versions.
-    #[must_use]
-    pub fn mean_interval(&self) -> Option<SimDuration> {
-        if self.births.len() < 2 {
-            return None;
-        }
-        let total = self.births[self.births.len() - 1].saturating_since(self.births[0]);
-        Some(total / (self.births.len() - 1) as f64)
     }
 }
 
@@ -250,48 +193,6 @@ mod tests {
         assert_eq!(s.current_version(t(10.0)), Some(1));
         assert_eq!(s.current_version(t(35.0)), Some(3));
         assert_eq!(s.birth_of(2), t(20.0));
-        assert_eq!(s.mean_interval().unwrap(), SimDuration::from_secs(10.0));
-    }
-
-    #[test]
-    fn poisson_schedule_mean_interval() {
-        let s = UpdateSchedule::poisson(
-            SimDuration::from_secs(100.0),
-            t(100_000.0),
-            &RngFactory::new(1),
-        );
-        let mean = s.mean_interval().unwrap().as_secs();
-        assert!(
-            (mean - 100.0).abs() < 15.0,
-            "mean interval {mean} too far from 100"
-        );
-        // Deterministic.
-        let s2 = UpdateSchedule::poisson(
-            SimDuration::from_secs(100.0),
-            t(100_000.0),
-            &RngFactory::new(1),
-        );
-        assert_eq!(s, s2);
-    }
-
-    #[test]
-    fn explicit_births_validated() {
-        let s = UpdateSchedule::from_births(vec![t(0.0), t(5.0), t(7.0)]);
-        assert_eq!(s.version_count(), 3);
-        assert_eq!(s.current_version(t(6.0)), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn rejects_unordered_births() {
-        let _ = UpdateSchedule::from_births(vec![t(5.0), t(5.0)]);
-    }
-
-    #[test]
-    fn current_version_before_first_birth() {
-        let s = UpdateSchedule::from_births(vec![t(10.0), t(20.0)]);
-        assert_eq!(s.current_version(t(5.0)), None);
-        assert_eq!(s.current_version(t(10.0)), Some(0));
     }
 
     #[test]

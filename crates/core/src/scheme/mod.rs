@@ -488,7 +488,6 @@ impl SchemeCtx<'_> {
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
-    use omn_contacts::estimate::EstimatorKind;
 
     /// Owned backing state for a [`SchemeCtx`] in unit tests.
     #[derive(Debug)]
@@ -534,7 +533,7 @@ pub(crate) mod testutil {
                 members,
                 member_versions,
                 receipts,
-                rates: PairRateTable::new(EstimatorKind::Cumulative, SimTime::ZERO),
+                rates: PairRateTable::new(SimTime::ZERO),
                 oracle,
                 transmissions: 0,
                 replicas: 0,

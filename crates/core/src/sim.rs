@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 
-use omn_contacts::estimate::{EstimatorKind, PairRateTable};
+use omn_contacts::estimate::PairRateTable;
 use omn_contacts::faults::{FaultConfig, FaultPlan};
 use omn_contacts::{
     Centrality, ContactDriver, ContactFate, ContactGraph, ContactSource, ContactTrace, NodeId,
@@ -75,9 +75,9 @@ pub enum FreshnessTimer {
     /// A churned-out caching node comes back up; the flag carries whether
     /// the downtime was a crash that wiped the node's state.
     Rejoin(NodeId, bool),
-    /// A delayed estimator observation of a contact seen at the carried
-    /// instant becomes visible.
-    LaggedObs(NodeId, NodeId, SimTime),
+    /// A delayed estimator observation of a contact between the carried
+    /// pair becomes visible.
+    LaggedObs(NodeId, NodeId),
 }
 
 impl FreshnessTimer {
@@ -155,18 +155,6 @@ impl std::fmt::Display for SchemeChoice {
     }
 }
 
-/// How the data source is chosen from the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceSelection {
-    /// A specific node.
-    Node(NodeId),
-    /// The most central node (best case for source-only refreshing).
-    MostCentral,
-    /// The median-centrality node (an arbitrary content producer — the
-    /// default, and the setting where distribution of refresh load pays).
-    MedianCentral,
-}
-
 /// Link-model parameters for refresh traffic: how many bytes one refresh
 /// frame occupies on the wire, and how deep each node's transmission queue
 /// may grow while waiting out a byte-starved contact.
@@ -201,12 +189,8 @@ pub struct FreshnessConfig {
     /// Number of caching nodes (the most central nodes, excluding the
     /// source).
     pub caching_nodes: usize,
-    /// Source selection.
-    pub source: SourceSelection,
-    /// Mean interval between versions.
+    /// Interval between versions (births are strictly periodic).
     pub refresh_period: SimDuration,
-    /// Poisson (true) or strictly periodic (false) updates.
-    pub poisson_updates: bool,
     /// The freshness requirement replication is sized for.
     pub requirement: FreshnessRequirement,
     /// Tree fanout bound.
@@ -222,17 +206,11 @@ pub struct FreshnessConfig {
     /// Number of data-access queries to sample (0 disables the query
     /// metrics).
     pub query_count: usize,
-    /// Online rate estimator maintained from observed contacts.
-    pub estimator: EstimatorKind,
     /// Data lifetime: a cached copy *expires* once the birth of the version
     /// it holds is more than this long in the past, even if no newer
     /// version has reached the node ("subject to expiration"). `None`
     /// disables expiry. Drives the availability metrics.
     pub lifetime: Option<SimDuration>,
-    /// Fresh-only serving: when `true`, a caching node declines to answer a
-    /// query while its copy is stale, so the query keeps searching for a
-    /// fresh copy (trading access latency and service ratio for validity).
-    pub fresh_only_serving: bool,
     /// Fault injection: `None` runs fault-free; `Some` materializes a
     /// [`FaultPlan`] per run (seeded from the run's factory) and subjects
     /// contacts and transfers to it. A plan with all probabilities at zero
@@ -259,9 +237,7 @@ impl Default for FreshnessConfig {
         let period = SimDuration::from_hours(6.0);
         FreshnessConfig {
             caching_nodes: 8,
-            source: SourceSelection::MedianCentral,
             refresh_period: period,
-            poisson_updates: false,
             requirement: FreshnessRequirement::new(0.9, period / 2.0),
             fanout: Some(3),
             max_relays: 3,
@@ -269,9 +245,7 @@ impl Default for FreshnessConfig {
             reparent: false,
             planning: PlanningMode::Oracle,
             query_count: 200,
-            estimator: EstimatorKind::Cumulative,
             lifetime: Some(period * 2.0),
-            fresh_only_serving: false,
             faults: None,
             resilience: None,
             oracle_mode: OracleMode::from_env(),
@@ -412,18 +386,16 @@ impl FreshnessSimulator {
         &self.config
     }
 
-    /// Selects the source and caching nodes from a trace per the
-    /// configuration (most-central nodes by delay-closeness, as the NCL
-    /// framework does).
+    /// Selects the source and caching nodes from a trace: the source is the
+    /// median of the delay-closeness ranking (an arbitrary content
+    /// producer, the setting where distributing refresh load pays), the
+    /// caching nodes the most central others (as the NCL framework picks
+    /// them).
     #[must_use]
     pub fn select_roles(&self, trace: &ContactTrace) -> (NodeId, Vec<NodeId>) {
         let graph = ContactGraph::from_trace(trace);
         let ranked = graph.top_k(Centrality::Closeness, graph.node_count());
-        let source = match self.config.source {
-            SourceSelection::Node(n) => n,
-            SourceSelection::MostCentral => ranked[0],
-            SourceSelection::MedianCentral => ranked[ranked.len() / 2],
-        };
+        let source = ranked[ranked.len() / 2];
         let mut members: Vec<NodeId> = ranked
             .into_iter()
             .filter(|&n| n != source)
@@ -621,11 +593,7 @@ impl FreshnessSimulator {
             graph.set_rate(a, b, rate);
         }
         let ranked = graph.top_k(Centrality::Degree, n);
-        let source = match self.config.source {
-            SourceSelection::Node(node) => node,
-            SourceSelection::MostCentral => ranked[0],
-            SourceSelection::MedianCentral => ranked[ranked.len() / 2],
-        };
+        let source = ranked[ranked.len() / 2];
         let mut members: Vec<NodeId> = ranked
             .into_iter()
             .filter(|&m| m != source)
@@ -734,7 +702,6 @@ pub struct FreshnessRun<'a> {
     estimator_lag: SimDuration,
     last_contact_start: Option<SimTime>,
     span: SimTime,
-    fresh_only_serving: bool,
     requirement_deadline: SimDuration,
     /// Wire size of one refresh frame (0 without a link model — degrades
     /// byte accounting to pure slot counting).
@@ -785,11 +752,7 @@ impl<'a> FreshnessRun<'a> {
         );
 
         let span = driver.span();
-        let schedule = if config.poisson_updates {
-            UpdateSchedule::poisson(config.refresh_period, span, factory)
-        } else {
-            UpdateSchedule::periodic(config.refresh_period, span)
-        };
+        let schedule = UpdateSchedule::periodic(config.refresh_period, span);
         let estimator_lag = driver.estimator_lag();
         let last_contact_start = driver.last_contact_start();
         let in_contact_range = |t: SimTime| last_contact_start.is_some_and(|last| t <= last);
@@ -875,7 +838,7 @@ impl<'a> FreshnessRun<'a> {
             members: members.to_vec(),
             schedule,
             oracle,
-            rates: PairRateTable::new(config.estimator, SimTime::ZERO),
+            rates: PairRateTable::new(SimTime::ZERO),
             rng: factory.stream("scheme"),
             transmissions: 0,
             replicas: 0,
@@ -895,7 +858,6 @@ impl<'a> FreshnessRun<'a> {
             estimator_lag,
             last_contact_start,
             span,
-            fresh_only_serving: config.fresh_only_serving,
             requirement_deadline: config.requirement.deadline,
             refresh_bytes: config.link.map_or(0, |l| l.refresh_bytes),
             tx_queues: config
@@ -993,7 +955,7 @@ impl<'a> FreshnessRun<'a> {
             FreshnessTimer::Query(i) => self.on_query(i),
             FreshnessTimer::Expiry(i) => self.on_expiry(i),
             FreshnessTimer::Rejoin(n, lost) => self.on_rejoin(n, lost, now, scheme, faults),
-            FreshnessTimer::LaggedObs(a, b, seen) => self.rates.record_contact(a, b, seen),
+            FreshnessTimer::LaggedObs(a, b) => self.rates.record_contact(a, b),
         }
     }
 
@@ -1031,11 +993,7 @@ impl<'a> FreshnessRun<'a> {
         } else {
             None
         };
-        let self_serves = match self_version {
-            None => false,
-            Some(v) => !self.fresh_only_serving || v == self.current_version,
-        };
-        if self_serves {
+        if self_version.is_some() {
             self.queries_served += 1;
             self.query_delays.record(0.0);
             if self_version == Some(self.current_version) {
@@ -1117,11 +1075,11 @@ impl<'a> FreshnessRun<'a> {
             // Rate estimators sight the contact even when it is truncated
             // for data, possibly after a reporting lag.
             if self.estimator_lag.is_zero() {
-                self.rates.record_contact(a, b, now);
+                self.rates.record_contact(a, b);
             } else {
                 let due = now + self.estimator_lag;
                 if self.in_contact_range(due) {
-                    lagged = Some((due, FreshnessTimer::LaggedObs(a, b, now)));
+                    lagged = Some((due, FreshnessTimer::LaggedObs(a, b)));
                 }
             }
             if fate == ContactFate::Blocked {
@@ -1175,7 +1133,6 @@ impl<'a> FreshnessRun<'a> {
             let members = &self.members;
             let member_versions = &self.member_versions;
             let current_version = self.current_version;
-            let fresh_only_serving = self.fresh_only_serving;
             let queries_served = &mut self.queries_served;
             let queries_fresh = &mut self.queries_fresh;
             let query_delays = &mut self.query_delays;
@@ -1196,9 +1153,6 @@ impl<'a> FreshnessRun<'a> {
                         } else {
                             member_versions.get(&s).copied()
                         };
-                        if fresh_only_serving && v != Some(current_version) {
-                            return true; // decline: keep searching
-                        }
                         *queries_served += 1;
                         query_delays.record(now.saturating_since(issued).as_secs());
                         if v == Some(current_version) {
@@ -1315,6 +1269,19 @@ mod tests {
         }
     }
 
+    /// The caching nodes are the first `caching_nodes` of `ranked` other
+    /// than the source, sorted.
+    fn expected_members(ranked: &[NodeId], source: NodeId) -> Vec<NodeId> {
+        let mut members: Vec<NodeId> = ranked
+            .iter()
+            .copied()
+            .filter(|&n| n != source)
+            .take(6)
+            .collect();
+        members.sort();
+        members
+    }
+
     #[test]
     fn role_selection_is_consistent() {
         let trace = small_trace(1);
@@ -1323,6 +1290,21 @@ mod tests {
         assert_eq!(members.len(), 6);
         assert!(!members.contains(&source));
         assert!(members.windows(2).all(|w| w[0] < w[1]));
+        // The source is the median of the closeness ranking.
+        let graph = ContactGraph::from_trace(&trace);
+        let ranked = graph.top_k(Centrality::Closeness, graph.node_count());
+        assert_eq!(source, ranked[ranked.len() / 2]);
+        assert_eq!(members, expected_members(&ranked, source));
+
+        // The streamed selection takes the median of the degree ranking
+        // over its warm-up graph.
+        let cutoff = SimTime::from_hours(24.0);
+        let mut warmup = omn_contacts::TraceSource::new(&trace);
+        let (source, members, graph) = sim.select_roles_streamed(&mut warmup, cutoff);
+        let ranked = graph.top_k(Centrality::Degree, graph.node_count());
+        assert_eq!(ranked.len(), trace.node_count());
+        assert_eq!(source, ranked[ranked.len() / 2]);
+        assert_eq!(members, expected_members(&ranked, source));
     }
 
     #[test]
@@ -1500,24 +1482,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_only_serving_trades_service_for_validity() {
-        let trace = small_trace(16);
-        let f = RngFactory::new(16);
-        let any = FreshnessSimulator::new(config()).run(&trace, SchemeChoice::Hierarchical, &f);
-        let fresh_only = FreshnessSimulator::new(FreshnessConfig {
-            fresh_only_serving: true,
-            ..config()
-        })
-        .run(&trace, SchemeChoice::Hierarchical, &f);
-
-        // Declining stale answers can only reduce the service ratio...
-        assert!(fresh_only.queries_served <= any.queries_served);
-        // ...but every served query is fresh by construction.
-        assert_eq!(fresh_only.queries_fresh, fresh_only.queries_served);
-        assert!(any.queries_fresh <= any.queries_served);
-    }
-
-    #[test]
     fn load_distribution_reflects_the_schemes_structure() {
         let trace = small_trace(15);
         let sim = FreshnessSimulator::new(config());
@@ -1607,16 +1571,5 @@ mod tests {
         let report =
             FreshnessSimulator::new(cfg).run(&trace, SchemeChoice::NoRefresh, &RngFactory::new(13));
         assert_eq!(report.mean_availability, 1.0);
-    }
-
-    #[test]
-    fn poisson_updates_work() {
-        let trace = small_trace(11);
-        let sim = FreshnessSimulator::new(FreshnessConfig {
-            poisson_updates: true,
-            ..config()
-        });
-        let report = sim.run(&trace, SchemeChoice::Hierarchical, &RngFactory::new(11));
-        assert!(report.version_count >= 2);
     }
 }

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use omn_contacts::estimate::{EstimatorKind, PairRateTable};
+use omn_contacts::estimate::PairRateTable;
 use omn_contacts::synth::PairwiseConfig;
 use omn_contacts::{ContactTrace, NodeId, TraceStats};
 use omn_sim::{SimDuration, SimTime};
@@ -75,7 +75,7 @@ impl Calibration {
 
         // Per-pair cumulative-MLE rates, replayed through the same estimator
         // table the protocol nodes maintain online.
-        let mut table = PairRateTable::new(EstimatorKind::Cumulative, SimTime::ZERO);
+        let mut table = PairRateTable::new(SimTime::ZERO);
         table.observe_trace(trace);
         let end = if span_secs > 0.0 {
             span

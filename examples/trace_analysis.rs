@@ -10,7 +10,6 @@
 
 use omn::caching::ncl::{select_ncls, NclConfig};
 use omn::contacts::io::{read_trace, write_trace};
-use omn::contacts::synth::cell::{generate_cell_mobility, CellMobilityConfig};
 use omn::contacts::synth::community::{generate_community, CommunityConfig};
 use omn::contacts::synth::presets::TracePreset;
 use omn::contacts::{Centrality, ContactGraph, ContactTrace, TraceStats};
@@ -39,21 +38,16 @@ fn describe(name: &str, trace: &ContactTrace) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let factory = RngFactory::new(5);
 
-    // Three mobility models with very different textures.
+    // Two mobility models with very different textures.
     let campus = TracePreset::RealityLike.generate(&factory);
     let community = generate_community(
         &CommunityConfig::new(40, 4, SimDuration::from_days(5.0)),
-        &factory,
-    );
-    let cells = generate_cell_mobility(
-        &CellMobilityConfig::new(40, SimDuration::from_days(2.0)).grid(5, 5),
         &factory,
     );
 
     println!("== trace statistics ==");
     describe("reality-like", &campus);
     describe("community", &community);
-    describe("cell-mobility", &cells);
 
     // Centrality and NCL selection on the campus trace.
     println!("\n== central nodes (reality-like) ==");

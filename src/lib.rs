@@ -13,7 +13,7 @@
 //!   virtual time, class-ordered event queues, seeded RNG streams,
 //!   invariant oracles, metrics and statistics.
 //! * [`contacts`] ([`omn_contacts`]) — contact traces, synthetic mobility
-//!   (heterogeneous pairwise, community, grid-cell, diurnal), contact
+//!   (heterogeneous pairwise, community, diurnal), contact
 //!   graphs, centrality, and online rate estimation.
 //! * [`caching`] ([`omn_caching`]) — the NCL cooperative caching framework:
 //!   central-node selection, cache stores and replacement policies, Zipf

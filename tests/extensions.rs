@@ -1,8 +1,6 @@
-//! Integration tests for the extension features: temporal oracle bounds,
-//! working-day mobility, and failure injection, exercised through the
-//! public facade.
+//! Integration tests for the extension features: temporal oracle bounds
+//! and failure injection, exercised through the public facade.
 
-use omn::contacts::synth::working_day::{generate_working_day, WorkingDayConfig};
 use omn::contacts::temporal;
 use omn::contacts::NodeId;
 use omn::core::freshness::FreshnessRequirement;
@@ -46,37 +44,6 @@ fn oracle_bound_lower_bounds_every_scheme() {
             );
         }
     }
-}
-
-#[test]
-fn working_day_trace_supports_the_full_freshness_stack() {
-    let factory = RngFactory::new(7);
-    let trace = generate_working_day(
-        &WorkingDayConfig::new(30, 6)
-            .offices(5)
-            .evening_probability(0.4),
-        &factory,
-    );
-    let period = SimDuration::from_hours(24.0);
-    let config = FreshnessConfig {
-        caching_nodes: 6,
-        refresh_period: period,
-        requirement: FreshnessRequirement::new(0.8, period),
-        query_count: 100,
-        ..FreshnessConfig::default()
-    };
-    let sim = FreshnessSimulator::new(config);
-    let hier = sim.run(&trace, SchemeChoice::Hierarchical, &factory);
-    let none = sim.run(&trace, SchemeChoice::NoRefresh, &factory);
-    // Daily office co-location makes refreshing effective. (The gap is
-    // structurally capped: versions born at midnight cannot propagate
-    // until offices open ~8 h later.)
-    assert!(
-        hier.mean_freshness > none.mean_freshness + 0.1,
-        "hier {} vs none {}",
-        hier.mean_freshness,
-        none.mean_freshness
-    );
 }
 
 #[test]
