@@ -145,6 +145,10 @@ pub fn resolve_format(path: &Path, name: Option<&str>) -> Result<TraceFormat, St
     }
 }
 
+/// Why an ingested trace is not scored: with no contacts, the calibration
+/// ratios divide by zero and every freshness measure reads a perfect 1.
+const NO_CONTACTS: &str = "no contacts to score";
+
 /// Runs E16: the one `--trace`/spec-selected dataset, or every registry
 /// dataset.
 pub fn run(plan: &CampaignPlan) {
@@ -180,7 +184,11 @@ fn run_registry(seeds: &[u64], no_wall: bool) {
         match spec.ingest() {
             Ok(ingested) => {
                 report_ingestion(&ingested, (!no_wall).then(|| start.elapsed()));
-                campaign(&ingested.trace, seeds);
+                if ingested.trace.is_empty() {
+                    println!("  {NO_CONTACTS}; skipping");
+                } else {
+                    campaign(&ingested.trace, seeds);
+                }
             }
             Err(e) => println!("  ingest failed: {e}; skipping"),
         }
@@ -211,6 +219,9 @@ fn run_override(over: &TraceOverride, seeds: &[u64], no_wall: bool) {
     let config = IngestConfig::new(found.nodes.max(2), span).policy(RecordPolicy::Lenient);
     let ingested = ingest_file(path, format, config).unwrap_or_else(|e| fail("ingest", &e));
     report_ingestion(&ingested, (!no_wall).then(|| start.elapsed()));
+    if ingested.trace.is_empty() {
+        fail("ingest", &NO_CONTACTS);
+    }
     campaign(&ingested.trace, seeds);
 }
 
@@ -342,8 +353,6 @@ fn campaign(real: &ContactTrace, seeds: &[u64]) {
                 .iter()
                 .map(|p| if pick == 0 { &p.real[si] } else { &p.synth[si] })
                 .collect();
-            let fresh: Vec<f64> = reports.iter().map(|r| r.mean_freshness).collect();
-            let sat: Vec<f64> = reports.iter().map(|r| r.requirement_satisfaction).collect();
             let per: Vec<f64> = reports
                 .iter()
                 .map(|r| r.overhead_per_version_per_member())
@@ -351,8 +360,8 @@ fn campaign(real: &ContactTrace, seeds: &[u64]) {
             table.row([
                 world.to_owned(),
                 choice.name().to_owned(),
-                fmt_ci(&fresh, 3),
-                fmt_ci(&sat, 3),
+                scored_cell(&reports, |r| r.mean_freshness),
+                scored_cell(&reports, |r| r.requirement_satisfaction),
                 fmt_ci(&per, 2),
             ]);
         }
@@ -366,4 +375,16 @@ fn campaign(real: &ContactTrace, seeds: &[u64]) {
          inter-contact KS distance flags structure, e.g. diurnal cycles, \
          that the pairwise-exponential model cannot express)"
     );
+}
+
+/// A freshness-measure cell over one world's per-seed reports: `n/a` when
+/// a trace is shorter than one refresh period, so only the initial version
+/// exists and the measure would score that version alone (as E15's sweep
+/// does).
+fn scored_cell(reports: &[&FreshnessReport], measure: fn(&FreshnessReport) -> f64) -> String {
+    if reports.iter().any(|r| r.version_count <= 1) {
+        return "n/a".to_owned();
+    }
+    let values: Vec<f64> = reports.iter().map(|r| measure(r)).collect();
+    fmt_ci(&values, 3)
 }

@@ -120,17 +120,14 @@ impl PairRateTable {
     /// `now`, for use by centralized planners.
     #[must_use]
     pub fn to_graph(&self, node_count: usize, now: SimTime) -> crate::ContactGraph {
-        let mut g = crate::ContactGraph::new(node_count);
-        // Pairs arrive in ascending (lo, hi) order, so every row of `g`
-        // grows by appends. `lo < hi`, so checking `hi` bounds both.
-        for (lo, row) in self.rows.iter().enumerate() {
-            for &(hi, n) in row {
-                if (hi as usize) < node_count {
-                    g.set_rate(NodeId(lo as u32), NodeId(hi), self.mle(n, now));
-                }
-            }
-        }
-        g
+        // Rows walk the pairs in ascending (lo, hi) order, as the batch
+        // builder wants. `lo < hi`, so checking `hi` bounds both.
+        let edges = self.rows.iter().enumerate().flat_map(move |(lo, row)| {
+            row.iter()
+                .filter(move |&&(hi, _)| (hi as usize) < node_count)
+                .map(move |&(hi, n)| (lo as u32, hi, self.mle(n, now)))
+        });
+        crate::ContactGraph::from_sorted_edges(node_count, edges)
     }
 }
 

@@ -19,13 +19,27 @@
 //! visits neighbors in ascending node-id order, exactly as the dense
 //! row scan did, so rates, shortest paths, and centrality scores are
 //! bit-identical to the dense representation.
+//!
+//! Graphs estimated from contacts ([`ContactGraph::from_pairs`], and
+//! through it [`ContactGraph::from_trace`] and the streamed warm-up) are
+//! built in one batch pass rather than one sorted-row insert per contact.
+//! Each contact's pair is packed as `lo << 32 | hi` into a `u64` and the
+//! keys are sorted; a first pass over the sorted keys counts every node's
+//! degree, so each row is allocated at its exact size, and a second pass
+//! emits each distinct pair once. Because the keys ascend by `(lo, hi)`,
+//! every row receives its peers in ascending order and plain pushes keep
+//! it sorted. A pair met `k` times gets the rate `0.0 + δ + … + δ` (`k`
+//! additions, left to right), not `k as f64 * δ`: the two can differ in
+//! the last bit, and the repeated sum is exactly what accumulating `δ`
+//! once per contact computes, so the batch graph is bit-identical to the
+//! per-contact one.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use omn_sim::SimDuration;
 
-use crate::contact::NodeId;
+use crate::contact::{Contact, NodeId};
 use crate::trace::ContactTrace;
 
 /// A centrality metric for ranking nodes.
@@ -99,24 +113,105 @@ impl ContactGraph {
     pub fn from_trace(trace: &ContactTrace) -> ContactGraph {
         let span = trace.span().as_secs();
         assert!(span > 0.0, "ContactGraph::from_trace: zero-span trace");
-        let mut g = ContactGraph::new(trace.node_count());
-        for c in trace.contacts() {
-            let (a, b) = c.pair();
-            g.add_rate_dir(a.index(), b.index(), 1.0 / span);
-            g.add_rate_dir(b.index(), a.index(), 1.0 / span);
-        }
-        g
+        let pairs = trace.contacts().iter().map(Contact::pair);
+        ContactGraph::from_pairs(trace.node_count(), pairs, 1.0 / span)
     }
 
-    /// Accumulates `delta` onto the directed entry `i → j`, keeping the row
-    /// sorted. Accumulation order per edge follows the caller's call order,
-    /// exactly as `rates[idx] += delta` did on the dense matrix.
-    fn add_rate_dir(&mut self, i: usize, j: usize, delta: f64) {
-        let row = &mut self.adj[i];
-        match row.binary_search_by_key(&(j as u32), |&(k, _)| k) {
-            Ok(pos) => row[pos].1 += delta,
-            Err(pos) => row.insert(pos, (j as u32, delta)),
+    /// Builds the graph over `n` nodes from a multiset of contact pairs in
+    /// one batch pass: every occurrence of a pair, in either orientation,
+    /// adds `delta` to its rate. The rates are bit-identical to adding
+    /// `delta` once per pair through [`ContactGraph::rate`] and
+    /// [`ContactGraph::set_rate`] (see the module docs). Holds 8 B per
+    /// pair while it sorts, freed before it returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`ContactGraph::set_rate`] does, if a pair is a self
+    /// pair, names a node out of range, or sums to a non-finite rate; also
+    /// if `n == 0` or `delta` is not positive and finite.
+    #[must_use]
+    pub fn from_pairs(
+        n: usize,
+        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
+        delta: f64,
+    ) -> ContactGraph {
+        assert!(
+            delta.is_finite() && delta > 0.0,
+            "ContactGraph::from_pairs: invalid delta {delta}"
+        );
+        let mut keys: Vec<u64> = pairs
+            .into_iter()
+            .map(|(a, b)| {
+                let (lo, hi) = if a < b { (a.0, b.0) } else { (b.0, a.0) };
+                u64::from(lo) << 32 | u64::from(hi)
+            })
+            .collect();
+        keys.sort_unstable();
+        let edges = keys.chunk_by(|x, y| x == y).map(|run| {
+            let rate = run.iter().fold(0.0, |rate, _| rate + delta);
+            ((run[0] >> 32) as u32, run[0] as u32, rate)
+        });
+        ContactGraph::from_sorted_edges(n, edges)
+    }
+
+    /// Builds the graph from distinct pairs `(lo, hi, rate)` with
+    /// `lo < hi`, listed in ascending `(lo, hi)` order. Zero rates add no
+    /// edge, as in [`ContactGraph::set_rate`]. A first pass sizes every
+    /// row exactly; the second pushes each edge onto both rows, which the
+    /// order keeps sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`, or if a pair is a self pair, names a node out
+    /// of range, or carries a negative or non-finite rate.
+    pub(crate) fn from_sorted_edges<I>(n: usize, edges: I) -> ContactGraph
+    where
+        I: Iterator<Item = (u32, u32, f64)> + Clone,
+    {
+        assert!(n > 0, "ContactGraph::from_pairs: need at least one node");
+        let mut degree = vec![0usize; n];
+        for (lo, hi, rate) in edges.clone() {
+            assert!(lo != hi, "ContactGraph::from_pairs: self edge");
+            assert!(
+                (lo as usize) < n && (hi as usize) < n,
+                "ContactGraph::from_pairs: node out of range"
+            );
+            assert!(
+                rate.is_finite() && rate >= 0.0,
+                "ContactGraph::from_pairs: invalid rate {rate}"
+            );
+            if rate > 0.0 {
+                degree[lo as usize] += 1;
+                degree[hi as usize] += 1;
+            }
         }
+        let mut adj: Vec<Vec<(u32, f64)>> = degree.into_iter().map(Vec::with_capacity).collect();
+        for (lo, hi, rate) in edges.filter(|e| e.2 > 0.0) {
+            adj[lo as usize].push((hi, rate));
+            adj[hi as usize].push((lo, rate));
+        }
+        debug_assert!(
+            adj.iter()
+                .all(|row| row.windows(2).all(|w| w[0].0 < w[1].0)),
+            "ContactGraph::from_sorted_edges: pairs out of order"
+        );
+        ContactGraph { n, adj }
+    }
+
+    /// The per-contact accumulation [`ContactGraph::from_pairs`] replaced
+    /// (one row lookup and sorted insert per pair), kept as its reference.
+    #[cfg(test)]
+    fn from_pairs_by_contact(
+        n: usize,
+        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
+        delta: f64,
+    ) -> ContactGraph {
+        let mut g = ContactGraph::new(n);
+        for (a, b) in pairs {
+            let rate = g.rate(a, b) + delta;
+            g.set_rate(a, b, rate);
+        }
+        g
     }
 
     fn set_rate_dir(&mut self, i: usize, j: usize, rate: f64) {
@@ -397,7 +492,6 @@ impl ContactGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contact::Contact;
     use crate::trace::TraceBuilder;
     use omn_sim::SimTime;
 
@@ -566,6 +660,45 @@ mod tests {
         fresh.set_rate(NodeId(0), NodeId(1), 1.0);
         fresh.set_rate(NodeId(2), NodeId(3), 1.0);
         assert_eq!(g, fresh);
+    }
+
+    /// Ten contacts of 0.1 sum to 0.9999999999999999, not `10.0 * 0.1`:
+    /// the batch builder keeps the repeated sum, entry for entry, and
+    /// sizes every row exactly.
+    #[test]
+    fn batch_build_matches_per_contact_accumulation() {
+        let (a, b, c, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(5));
+        let mut pairs = vec![(b, a); 10];
+        pairs.extend([(c, d), (a, d), (d, c), (a, c), (d, a), (d, c)]);
+        let batch = ContactGraph::from_pairs(6, pairs.iter().copied(), 0.1);
+        let reference = ContactGraph::from_pairs_by_contact(6, pairs, 0.1);
+        assert_eq!(batch.rate(a, b), 0.9999999999999999);
+        assert_ne!(batch.rate(a, b), 10.0 * 0.1);
+        assert_eq!(batch.edge_count(), reference.edge_count());
+        for node in (0..6).map(NodeId) {
+            let got: Vec<(NodeId, u64)> = batch
+                .neighbors(node)
+                .map(|(p, r)| (p, r.to_bits()))
+                .collect();
+            let want: Vec<(NodeId, u64)> = reference
+                .neighbors(node)
+                .map(|(p, r)| (p, r.to_bits()))
+                .collect();
+            assert_eq!(got, want, "row {node:?}");
+        }
+        assert!(batch.adj.iter().all(|row| row.capacity() == row.len()));
+    }
+
+    #[test]
+    #[should_panic(expected = "self edge")]
+    fn from_pairs_rejects_self_pair() {
+        let _ = ContactGraph::from_pairs(3, [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(2))], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range")]
+    fn from_pairs_rejects_out_of_range_node() {
+        let _ = ContactGraph::from_pairs(3, [(NodeId(3), NodeId(0))], 1.0);
     }
 
     #[test]

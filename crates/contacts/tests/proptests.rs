@@ -68,6 +68,33 @@ impl ReferenceTable {
     }
 }
 
+/// The per-contact accumulation the batch graph builders replaced: each
+/// pair adds `delta` onto its current rate through a sorted-row lookup and
+/// insert.
+fn graph_by_contact(
+    n: usize,
+    pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
+    delta: f64,
+) -> ContactGraph {
+    let mut g = ContactGraph::new(n);
+    for (a, b) in pairs {
+        let rate = g.rate(a, b) + delta;
+        g.set_rate(a, b, rate);
+    }
+    g
+}
+
+/// Every `(peer, rate bits)` adjacency entry of a graph, row by row.
+fn entries(g: &ContactGraph) -> Vec<Vec<(NodeId, u64)>> {
+    (0..g.node_count() as u32)
+        .map(|i| {
+            g.neighbors(NodeId(i))
+                .map(|(p, r)| (p, r.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
 proptest! {
     /// Traces built from arbitrary contacts are sorted and round-trip
     /// through the text format unchanged.
@@ -524,5 +551,48 @@ proptest! {
                 prop_assert_eq!(table.to_graph(node_count, at), reference.to_graph(node_count, at));
             }
         }
+    }
+
+    /// The batch builder equals the per-contact accumulation entry for
+    /// entry, down to the rate bits, on pair multisets with duplicates,
+    /// both orientations and the extreme nodes 0 and n − 1.
+    #[test]
+    fn batch_graph_matches_per_contact_accumulation(
+        nodes in 2u32..64,
+        draws in prop::collection::vec((0u32..66, 0u32..66, 1usize..5, any::<bool>()), 0..200),
+        delta in 1e-6f64..10.0,
+    ) {
+        // Draws 64 and 65 name the extreme nodes 0 and n − 1.
+        let node = |x: u32| NodeId(match x {
+            64 => 0,
+            65 => nodes - 1,
+            x => x % nodes,
+        });
+        let mut pairs = vec![(NodeId(0), NodeId(nodes - 1))];
+        for &(a, b, repeat, flip) in &draws {
+            let (a, b) = (node(a), node(b));
+            if a != b {
+                let pair = if flip { (b, a) } else { (a, b) };
+                pairs.extend(std::iter::repeat_n(pair, repeat));
+            }
+        }
+        let n = nodes as usize;
+        let batch = ContactGraph::from_pairs(n, pairs.iter().copied(), delta);
+        let reference = graph_by_contact(n, pairs, delta);
+        prop_assert_eq!(batch.edge_count(), reference.edge_count());
+        prop_assert_eq!(entries(&batch), entries(&reference));
+    }
+
+    /// `ContactGraph::from_trace` equals the per-contact accumulation of
+    /// `1 / span` over the trace's contacts, down to the rate bits.
+    #[test]
+    fn from_trace_matches_per_contact_accumulation(
+        contacts in prop::collection::vec(contact_strategy(12), 1..120),
+    ) {
+        let trace = TraceBuilder::new(12).contacts(contacts).build().unwrap();
+        let graph = ContactGraph::from_trace(&trace);
+        let delta = 1.0 / trace.span().as_secs();
+        let reference = graph_by_contact(12, trace.contacts().iter().map(Contact::pair), delta);
+        prop_assert_eq!(entries(&graph), entries(&reference));
     }
 }

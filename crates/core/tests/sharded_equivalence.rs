@@ -16,7 +16,7 @@ use omn_contacts::faults::{DowntimeConfig, FaultConfig};
 use omn_contacts::synth::sharded::{
     generate_sharded, ShardedCommunityConfig, ShardedCommunitySource,
 };
-use omn_contacts::{ContactGraph, ContactSource, NodeId, TraceSource};
+use omn_contacts::{Centrality, ContactGraph, ContactSource, NodeId, TraceSource};
 use omn_core::hierarchy::HierarchyStrategy;
 use omn_core::scheme::{HierarchicalConfig, HierarchicalScheme, PlanningMode};
 use omn_core::sim::{FreshnessConfig, FreshnessReport, FreshnessSimulator, StreamStats};
@@ -122,6 +122,60 @@ fn chaos(seed_bit: bool) -> FaultConfig {
             exempt: None,
         }),
         ..FaultConfig::default()
+    }
+}
+
+/// The streamed warm-up of a 10³-node world with E15's shard size (≈ 50
+/// nodes) and bridge rate picks the same source and members, over a
+/// bit-identical graph, as the per-contact accumulation loop the batch
+/// builder replaced. The stream-100k output check pins only a freshness
+/// and a transmission count that a role change need not move.
+#[test]
+fn streamed_warm_up_matches_per_contact_loop() {
+    let (config, factory) = world(11, 1000, 20, 24.0);
+    let sim = FreshnessSimulator::new(FreshnessConfig {
+        caching_nodes: 8,
+        ..FreshnessConfig::default()
+    });
+    let cutoff = SimTime::from_hours(6.0);
+    let (source, members, graph) =
+        sim.select_roles_streamed(&mut ShardedCommunitySource::new(&config, &factory), cutoff);
+
+    let mut warmup = ShardedCommunitySource::new(&config, &factory);
+    let mut reference = ContactGraph::new(warmup.node_count());
+    let mut pulled = 0;
+    while let Some(c) = warmup.next_contact() {
+        if c.start() > cutoff {
+            break;
+        }
+        let (a, b) = c.pair();
+        let rate = reference.rate(a, b) + 1.0 / cutoff.as_secs();
+        reference.set_rate(a, b, rate);
+        pulled += 1;
+    }
+    assert!(pulled > 10_000, "warm-up pulled only {pulled} contacts");
+    let ranked = reference.top_k(Centrality::Degree, reference.node_count());
+    let want_source = ranked[ranked.len() / 2];
+    let mut want_members: Vec<NodeId> = ranked
+        .into_iter()
+        .filter(|&m| m != want_source)
+        .take(8)
+        .collect();
+    want_members.sort();
+
+    assert_eq!(source, want_source);
+    assert_eq!(members, want_members);
+    assert_eq!(graph.edge_count(), reference.edge_count());
+    for node in (0..1000).map(NodeId) {
+        let got: Vec<(NodeId, u64)> = graph
+            .neighbors(node)
+            .map(|(p, r)| (p, r.to_bits()))
+            .collect();
+        let want: Vec<(NodeId, u64)> = reference
+            .neighbors(node)
+            .map(|(p, r)| (p, r.to_bits()))
+            .collect();
+        assert_eq!(got, want, "row {node:?}");
     }
 }
 
