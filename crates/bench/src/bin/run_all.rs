@@ -5,7 +5,7 @@
 //! CLI overrides folded in) and dispatches the plan to its campaign
 //! driver.
 //!
-//! Seed replications run in parallel (one thread per seed, merged in seed
+//! Seed replications run in parallel (at most one worker per core, merged in seed
 //! order — byte-identical to serial). `--seeds a,b,c` overrides the seed
 //! set; `--nodes a,b,c` overrides E15's node-count sweep; `--trace path`
 //! (with optional `--trace-format name`) points E16 at one dataset file.

@@ -8,7 +8,7 @@
 //!
 //! Results are averaged over several seeds with normal-approximation 95%
 //! confidence intervals, printed as `mean ± hw`. Seed replications run in
-//! parallel through [`per_seed`] (one thread per seed, results merged in
+//! parallel through [`per_seed`] (at most one worker per core, results merged in
 //! seed order, byte-identical to a serial run); `--seeds a,b,c` overrides
 //! the seed set.
 

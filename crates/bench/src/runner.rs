@@ -2,11 +2,15 @@
 //!
 //! Every multi-replication experiment runs the same closure once per seed
 //! and folds the per-seed results in seed order. [`per_seed`] runs those
-//! closures on one thread per seed and joins the handles *in seed order*,
-//! so the merged results — and therefore every printed table — are
-//! byte-identical to a serial run: simulators draw only from per-seed
-//! [`RngFactory`](omn_sim::RngFactory) streams, threads share nothing, and
-//! floating-point folds happen on the caller's thread in a fixed order.
+//! closures on at most `available_parallelism` worker threads, each
+//! pulling the next seed as it finishes one, and returns the results *in
+//! seed order*, so the merged results — and therefore every printed table
+//! — are byte-identical to a serial run: simulators draw only from
+//! per-seed [`RngFactory`](omn_sim::RngFactory) streams, threads share
+//! nothing, and floating-point folds happen on the caller's thread in a
+//! fixed order. No more seeds run at once than there are cores, so a
+//! closure that times itself measures its own cost, not its share of an
+//! oversubscribed machine.
 //!
 //! Command-line control is consolidated in [`CliOverrides`], parsed
 //! **once per process** (binaries call [`cli_init`], which rejects unknown
@@ -29,33 +33,57 @@
 //! * `--headline` — run the single large headline point instead of the
 //!   sweep (E15: 10⁶ nodes, one seed).
 
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// Runs `f` once per seed — in parallel, one thread per seed — and returns
-/// the results in seed order.
+/// Runs `f` once per seed — in parallel, on at most
+/// [`std::thread::available_parallelism`] scoped workers that each pull
+/// the next seed index — and returns the results in seed order.
 ///
-/// Runs on the calling thread when only one seed is given; the results
-/// equal a serial map either way (each closure invocation is independent,
-/// and joins happen in seed order).
+/// Runs on the calling thread when one seed is given or one core is
+/// available; the results equal a serial map either way (each closure
+/// invocation is independent, and results are ordered by seed index).
 ///
 /// # Panics
 ///
 /// Panics if `f` panics for any seed.
 pub fn per_seed<T: Send>(seeds: &[u64], f: impl Fn(u64) -> T + Sync) -> Vec<T> {
-    if seeds.len() <= 1 {
+    let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    per_seed_on(cores, seeds, f)
+}
+
+/// [`per_seed`] on at most `workers` threads.
+fn per_seed_on<T: Send>(workers: usize, seeds: &[u64], f: impl Fn(u64) -> T + Sync) -> Vec<T> {
+    let workers = workers.min(seeds.len());
+    if workers <= 1 {
         return seeds.iter().map(|&s| f(s)).collect();
     }
-    let f = &f;
-    thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| scope.spawn(move || f(seed)))
+    let (f, next) = (&f, &AtomicUsize::new(0));
+    let mut done: Vec<(usize, T)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices; the
+                        // results come back through the joins.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&seed) = seeds.get(i) else {
+                            return out;
+                        };
+                        out.push((i, f(seed)));
+                    }
+                })
+            })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("seed worker panicked"))
+            .flat_map(|h| h.join().expect("seed worker panicked"))
             .collect()
-    })
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
 }
 
 /// A `--trace` override: run the real-trace experiment on one dataset file
@@ -198,6 +226,37 @@ pub fn cli_init_from(args: Vec<String>) -> CliOverrides {
 mod tests {
     use super::*;
     use crate::SEEDS;
+
+    /// The results equal a serial map, in seed order, and exactly as many
+    /// closures as workers are in flight at once: a barrier holds each
+    /// closure until that many have started, so more threads would raise
+    /// the high-water mark (and fewer would hang at the barrier).
+    #[test]
+    fn per_seed_caps_the_seeds_in_flight() {
+        let seeds: Vec<u64> = (0..12).map(|i| 1000 + 7 * i).collect();
+        let serial: Vec<u64> = seeds.iter().map(|&s| s * s + 1).collect();
+        // Worker counts dividing the 12 seeds, so no barrier round is short.
+        for workers in [1, 2, 3, 4, 12, 16] {
+            let expected = workers.min(seeds.len());
+            let barrier = std::sync::Barrier::new(expected);
+            let (in_flight, high_water) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let results = per_seed_on(workers, &seeds, |seed| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                barrier.wait();
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                seed * seed + 1
+            });
+            assert_eq!(results, serial, "{workers} workers");
+            assert_eq!(
+                high_water.load(Ordering::SeqCst),
+                expected,
+                "{workers} workers"
+            );
+        }
+        assert_eq!(per_seed(&seeds, |s| s * s + 1), serial);
+        assert!(per_seed(&[], |s| s).is_empty());
+    }
 
     fn strict(list: &[&str]) -> Result<CliOverrides, String> {
         CliOverrides::parse(list.iter().map(|s| (*s).to_owned()))

@@ -42,6 +42,15 @@ use omn_sim::SimDuration;
 use crate::contact::{Contact, NodeId};
 use crate::trace::ContactTrace;
 
+/// The unordered pair `{a, b}` packed as `lo << 32 | hi`, so that keys
+/// ascend by `(lo, hi)`: the layout of [`ContactGraph::from_pairs`]'s
+/// sort and of [`crate::estimate::PairRateTable`]'s counts.
+#[inline]
+pub(crate) fn pair_key(a: NodeId, b: NodeId) -> u64 {
+    let (lo, hi) = if a < b { (a.0, b.0) } else { (b.0, a.0) };
+    u64::from(lo) << 32 | u64::from(hi)
+}
+
 /// A centrality metric for ranking nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Centrality {
@@ -139,13 +148,7 @@ impl ContactGraph {
             delta.is_finite() && delta > 0.0,
             "ContactGraph::from_pairs: invalid delta {delta}"
         );
-        let mut keys: Vec<u64> = pairs
-            .into_iter()
-            .map(|(a, b)| {
-                let (lo, hi) = if a < b { (a.0, b.0) } else { (b.0, a.0) };
-                u64::from(lo) << 32 | u64::from(hi)
-            })
-            .collect();
+        let mut keys: Vec<u64> = pairs.into_iter().map(|(a, b)| pair_key(a, b)).collect();
         keys.sort_unstable();
         let edges = keys.chunk_by(|x, y| x == y).map(|run| {
             let rate = run.iter().fold(0.0, |rate, _| rate + delta);

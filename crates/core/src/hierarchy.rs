@@ -412,7 +412,7 @@ impl RefreshHierarchy {
     /// Panics if `node` is not in the hierarchy.
     pub fn expected_path_delay_with<F>(&self, node: NodeId, rate: F) -> f64
     where
-        F: Fn(NodeId, NodeId) -> f64,
+        F: FnMut(NodeId, NodeId) -> f64,
     {
         self.try_expected_path_delay_with(node, rate)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -429,10 +429,10 @@ impl RefreshHierarchy {
     pub fn try_expected_path_delay_with<F>(
         &self,
         node: NodeId,
-        rate: F,
+        mut rate: F,
     ) -> Result<f64, HierarchyError>
     where
-        F: Fn(NodeId, NodeId) -> f64,
+        F: FnMut(NodeId, NodeId) -> f64,
     {
         Ok(self
             .try_path_from_root(node)?

@@ -338,7 +338,7 @@ impl HierarchicalScheme {
         &self.config
     }
 
-    fn planning_graph(&self, ctx: &SchemeCtx<'_>) -> ContactGraph {
+    fn planning_graph(&self, ctx: &mut SchemeCtx<'_>) -> ContactGraph {
         match self.config.planning {
             PlanningMode::Oracle => ctx.oracle_graph().clone(),
             PlanningMode::Estimated => ctx.estimated_graph(),
@@ -396,7 +396,7 @@ impl HierarchicalScheme {
         if h.parent_of(x).is_none() || !h.contains(y) || h.parent_of(x) == Some(y) {
             return;
         }
-        let rate = |a: NodeId, b: NodeId| ctx.estimated_rate(a, b);
+        let mut rate = |a: NodeId, b: NodeId| ctx.estimated_rate(a, b);
         let hop = {
             let r = rate(y, x);
             if r > 0.0 {
@@ -409,8 +409,8 @@ impl HierarchicalScheme {
         // loss broke and re-attachment has not repaired yet. A failed
         // lookup just means "no basis to switch this contact".
         let (Ok(current), Ok(via_parent)) = (
-            h.try_expected_path_delay_with(x, rate),
-            h.try_expected_path_delay_with(y, rate),
+            h.try_expected_path_delay_with(x, &mut rate),
+            h.try_expected_path_delay_with(y, &mut rate),
         ) else {
             return;
         };
@@ -504,7 +504,7 @@ impl HierarchicalScheme {
         watched: NodeId,
         now: SimTime,
         res: &ResilienceConfig,
-        ctx: &SchemeCtx<'_>,
+        ctx: &mut SchemeCtx<'_>,
     ) -> bool {
         let heard = *self.edge_heard.entry(edge).or_insert(now);
         let rate = ctx.estimated_rate(edge.0, edge.1);

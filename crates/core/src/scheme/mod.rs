@@ -101,7 +101,7 @@ pub struct SchemeCtx<'a> {
     pub(crate) members: &'a [NodeId],
     pub(crate) member_versions: &'a mut HashMap<NodeId, u64>,
     pub(crate) receipts: &'a mut HashMap<NodeId, Vec<(SimTime, u64)>>,
-    pub(crate) rates: &'a PairRateTable,
+    pub(crate) rates: &'a mut PairRateTable,
     pub(crate) oracle: &'a ContactGraph,
     pub(crate) transmissions: &'a mut u64,
     pub(crate) replicas: &'a mut u64,
@@ -418,14 +418,17 @@ impl SchemeCtx<'_> {
     }
 
     /// The estimated contact rate between two nodes as observed so far.
+    /// Takes `&mut self` because reading the table folds the contacts
+    /// recorded since its last read.
     #[must_use]
-    pub fn estimated_rate(&self, a: NodeId, b: NodeId) -> f64 {
+    pub fn estimated_rate(&mut self, a: NodeId, b: NodeId) -> f64 {
         self.rates.rate(a, b, self.now)
     }
 
-    /// A snapshot of the estimated contact graph.
+    /// A snapshot of the estimated contact graph (folds the table, as
+    /// [`SchemeCtx::estimated_rate`] does).
     #[must_use]
-    pub fn estimated_graph(&self) -> ContactGraph {
+    pub fn estimated_graph(&mut self) -> ContactGraph {
         self.rates.to_graph(self.oracle.node_count(), self.now)
     }
 
@@ -592,7 +595,7 @@ pub(crate) mod testutil {
                 members: &self.members,
                 member_versions: &mut self.member_versions,
                 receipts: &mut self.receipts,
-                rates: &self.rates,
+                rates: &mut self.rates,
                 oracle: &self.oracle,
                 transmissions: &mut self.transmissions,
                 replicas: &mut self.replicas,

@@ -923,7 +923,7 @@ impl<'a> FreshnessRun<'a> {
             members: &self.members,
             member_versions: &mut self.member_versions,
             receipts: &mut self.receipts,
-            rates: &self.rates,
+            rates: &mut self.rates,
             oracle: self.oracle,
             transmissions: &mut self.transmissions,
             replicas: &mut self.replicas,
