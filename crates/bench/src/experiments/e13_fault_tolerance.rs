@@ -8,12 +8,16 @@
 //!    probability p. Compares the hierarchical scheme with bounded retry
 //!    of failed replication handoffs and relay deliveries against the
 //!    fail-once ablation and the epidemic upper bound.
+//!    At the default seeds bounded retry holds no margin over fail-once:
+//!    the two columns stay within one CI of each other at every loss rate.
 //! 2. **Churn sweep** — a fraction of nodes cycles through exponential
 //!    up/down periods. Reports freshness for the plain maintained
 //!    hierarchy vs. the failure-aware one (retry + failure detector with
 //!    re-parenting), plus the recovery observability: rejoin counts, mean
 //!    time for a rejoined caching node to regain the current version, and
-//!    the detector's suspicion/false-suspicion tallies.
+//!    the detector's suspicion/false-suspicion tallies. At the default
+//!    seeds the failure-aware column measures nothing: its mean freshness
+//!    equals the maintained column's bit for bit in all 15 runs.
 
 use omn_contacts::faults::{DowntimeConfig, FaultConfig};
 use omn_contacts::synth::presets::TracePreset;
@@ -129,11 +133,11 @@ fn loss_sweep(params: &Params) {
     }
     table.print();
     println!(
-        "\n(expected shape: freshness falls with loss for every scheme; the \
-         retry variant holds a margin over the fail-once ablation because a \
-         lost replication handoff or relay delivery gets another chance at a \
-         later contact instead of being abandoned for that version. Epidemic \
-         degrades most gracefully — every contact is a retry opportunity)"
+        "\n(measured at the default seeds: freshness falls with loss for every \
+         scheme, and epidemic degrades least — every contact is a retry \
+         opportunity. The `retries` column shows retry firing, but its \
+         freshness stays within one CI of the fail-once ablation at every \
+         loss rate: bounded retry holds no margin over fail-once)"
     );
 }
 
@@ -210,13 +214,14 @@ fn churn_sweep(params: &Params) {
     }
     table.print();
     println!(
-        "\n(expected shape: churn suppresses contacts of down nodes, so \
-         freshness falls with the churning fraction; rejoined members take \
-         on the order of the refresh period to regain the current version. \
-         The failure detector fires on silent neighbors — some suspicions \
-         are false when a quiet-but-alive pair simply has a long \
-         inter-contact gap, which is why suspicion only re-parents and \
-         never evicts)"
+        "\n(measured at the default seeds: churn suppresses contacts of down \
+         nodes, so freshness falls with the churning fraction; rejoined \
+         members take on the order of the refresh period to regain the \
+         current version. The failure-aware column measures nothing at these \
+         rungs: its mean freshness equals the maintained column's bit for \
+         bit in all 15 runs. Nearly every suspicion is false — a \
+         quiet-but-alive pair with a long inter-contact gap — and suspicion \
+         re-parented a node only twice in those runs)"
     );
 }
 

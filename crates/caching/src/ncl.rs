@@ -2,116 +2,34 @@
 //!
 //! NCLs are the nodes that data is pushed to and cached at: nodes that other
 //! nodes can reach quickly and frequently via opportunistic contacts. The
-//! selection ranks nodes by a centrality metric over the contact graph and
-//! greedily picks the best candidates subject to a *minimum separation*
-//! constraint, so that the chosen NCLs cover different parts of the network
-//! instead of clustering in one dense community.
+//! selection ranks nodes by delay-closeness over the contact graph
+//! ([`Centrality::Closeness`]) and takes the most central ones.
 
 use omn_contacts::{Centrality, ContactGraph, NodeId};
 
-/// NCL selection parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NclConfig {
-    /// How many NCLs to select.
-    pub count: usize,
-    /// Centrality metric to rank candidates by.
-    pub metric: Centrality,
-    /// Minimum pairwise expected delay between selected NCLs, in seconds.
-    /// Candidates closer than this to an already-selected NCL are skipped
-    /// (unless too few candidates remain). Zero disables the constraint.
-    pub min_separation: f64,
-}
-
-impl NclConfig {
-    /// A default configuration: `count` NCLs by delay-closeness with no
-    /// separation constraint.
-    #[must_use]
-    pub fn new(count: usize) -> NclConfig {
-        NclConfig {
-            count,
-            metric: Centrality::Closeness,
-            min_separation: 0.0,
-        }
-    }
-
-    /// Sets the metric.
-    #[must_use]
-    pub fn metric(mut self, metric: Centrality) -> NclConfig {
-        self.metric = metric;
-        self
-    }
-
-    /// Sets the minimum pairwise expected delay between NCLs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `separation` is negative or not finite.
-    #[must_use]
-    pub fn min_separation(mut self, separation: f64) -> NclConfig {
-        assert!(
-            separation.is_finite() && separation >= 0.0,
-            "min_separation must be non-negative"
-        );
-        self.min_separation = separation;
-        self
-    }
-}
-
-/// Selects NCLs from a contact graph.
-///
-/// Candidates are considered in decreasing centrality order; one is skipped
-/// if its shortest expected delay to any already-selected NCL is below
-/// `min_separation`. If the separation constraint leaves fewer than `count`
-/// NCLs, the best skipped candidates fill the remainder (the constraint is
-/// a preference, not a hard guarantee).
+/// Selects the `count` most central nodes by delay-closeness, most central
+/// first (ties toward smaller node ids; at most every node).
 ///
 /// # Example
 ///
 /// ```
-/// use omn_caching::ncl::{select_ncls, NclConfig};
+/// use omn_caching::ncl::select_ncls;
 /// use omn_contacts::{ContactGraph, NodeId};
 ///
 /// let mut g = ContactGraph::new(4);
 /// g.set_rate(NodeId(0), NodeId(1), 1.0);
 /// g.set_rate(NodeId(1), NodeId(2), 1.0);
 /// g.set_rate(NodeId(2), NodeId(3), 1.0);
-/// let ncls = select_ncls(&g, &NclConfig::new(2));
-/// assert_eq!(ncls.len(), 2);
+/// assert_eq!(select_ncls(&g, 2), vec![NodeId(1), NodeId(2)]);
 /// ```
 #[must_use]
-pub fn select_ncls(graph: &ContactGraph, config: &NclConfig) -> Vec<NodeId> {
-    let ranked = graph.top_k(config.metric, graph.node_count());
-    let mut selected: Vec<NodeId> = Vec::with_capacity(config.count);
-    let mut skipped: Vec<NodeId> = Vec::new();
-
-    for candidate in ranked {
-        if selected.len() >= config.count {
-            break;
-        }
-        let too_close = config.min_separation > 0.0
-            && selected.iter().any(|&ncl| {
-                graph.shortest_expected_delays(candidate)[ncl.index()]
-                    .is_some_and(|d| d < config.min_separation)
-            });
-        if too_close {
-            skipped.push(candidate);
-        } else {
-            selected.push(candidate);
-        }
-    }
-    for candidate in skipped {
-        if selected.len() >= config.count {
-            break;
-        }
-        selected.push(candidate);
-    }
-    selected
+pub fn select_ncls(graph: &ContactGraph, count: usize) -> Vec<NodeId> {
+    graph.top_k(Centrality::Closeness, count)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omn_sim::SimDuration;
 
     /// Two dense communities bridged by a weak link.
     fn two_communities() -> ContactGraph {
@@ -133,50 +51,7 @@ mod tests {
     fn selects_requested_count() {
         let g = two_communities();
         for k in 1..=6 {
-            assert_eq!(select_ncls(&g, &NclConfig::new(k)).len(), k);
+            assert_eq!(select_ncls(&g, k).len(), k);
         }
-    }
-
-    #[test]
-    fn separation_spreads_ncls_across_communities() {
-        let g = two_communities();
-        let config = NclConfig::new(2)
-            .metric(Centrality::WeightedDegree)
-            .min_separation(10.0);
-        let ncls = select_ncls(&g, &config);
-        let communities: Vec<usize> = ncls.iter().map(|n| n.index() / 3).collect();
-        assert_ne!(
-            communities[0], communities[1],
-            "both NCLs in community {communities:?}: {ncls:?}"
-        );
-    }
-
-    #[test]
-    fn without_separation_best_scores_win() {
-        let g = two_communities();
-        let config = NclConfig::new(2).metric(Centrality::WeightedDegree);
-        let ncls = select_ncls(&g, &config);
-        // Weighted degrees: nodes 1 and 4 have 2.0; bridge nodes 2 and 3
-        // have 1.51; leaves have 1.5.
-        assert!(ncls.contains(&NodeId(1)));
-        assert!(ncls.contains(&NodeId(4)));
-    }
-
-    #[test]
-    fn separation_falls_back_when_too_strict() {
-        let g = two_communities();
-        // Impossible separation: still returns the requested count.
-        let config = NclConfig::new(4)
-            .metric(Centrality::WeightedDegree)
-            .min_separation(1e12);
-        assert_eq!(select_ncls(&g, &config).len(), 4);
-    }
-
-    #[test]
-    fn works_with_contact_probability_metric() {
-        let g = two_communities();
-        let config =
-            NclConfig::new(3).metric(Centrality::ContactProbability(SimDuration::from_secs(2.0)));
-        assert_eq!(select_ncls(&g, &config).len(), 3);
     }
 }

@@ -9,14 +9,10 @@ use crate::item::DataItemId;
 pub struct VictimCandidate {
     /// The cached item.
     pub item: DataItemId,
-    /// When the copy was fetched.
-    pub fetched_at: SimTime,
     /// When the copy was last read.
     pub last_access: SimTime,
     /// How many times the copy has been read.
     pub access_count: u64,
-    /// Item size in bytes.
-    pub size: u64,
 }
 
 /// A cache replacement policy: given the current entries, pick the one to
@@ -40,30 +36,16 @@ pub trait CachePolicy: std::fmt::Debug {
 pub enum PolicyChoice {
     /// Least-recently-used eviction.
     Lru,
-    /// Least-frequently-used eviction.
-    Lfu,
-    /// Size-weighted utility eviction.
-    Utility,
     /// EWMA decayed-popularity adaptive placement (default τ).
     Ewma,
 }
 
 impl PolicyChoice {
-    /// Every selectable policy, in report order.
-    pub const ALL: [PolicyChoice; 4] = [
-        PolicyChoice::Lru,
-        PolicyChoice::Lfu,
-        PolicyChoice::Utility,
-        PolicyChoice::Ewma,
-    ];
-
     /// The policy's report/spec name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             PolicyChoice::Lru => "lru",
-            PolicyChoice::Lfu => "lfu",
-            PolicyChoice::Utility => "utility",
             PolicyChoice::Ewma => "ewma",
         }
     }
@@ -73,8 +55,6 @@ impl PolicyChoice {
     pub fn make(self) -> Box<dyn CachePolicy> {
         match self {
             PolicyChoice::Lru => Box::new(Lru),
-            PolicyChoice::Lfu => Box::new(Lfu),
-            PolicyChoice::Utility => Box::new(Utility),
             PolicyChoice::Ewma => Box::new(Ewma::default()),
         }
     }
@@ -94,57 +74,6 @@ impl CachePolicy for Lru {
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| (a.last_access, a.item).cmp(&(b.last_access, b.item)))
-            .map(|(i, _)| i)
-            .expect("non-empty candidates")
-    }
-}
-
-/// Least-frequently-used: evict the entry with the smallest access count
-/// (ties broken by recency).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lfu;
-
-impl CachePolicy for Lfu {
-    fn name(&self) -> &'static str {
-        "lfu"
-    }
-
-    fn victim(&self, candidates: &[VictimCandidate], _now: SimTime) -> usize {
-        candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                (a.access_count, a.last_access, a.item).cmp(&(
-                    b.access_count,
-                    b.last_access,
-                    b.item,
-                ))
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty candidates")
-    }
-}
-
-/// Utility-based replacement: evict the entry with the lowest access rate
-/// per byte, `access_count / (age · size)` — popular, small, young entries
-/// are retained.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Utility;
-
-impl CachePolicy for Utility {
-    fn name(&self) -> &'static str {
-        "utility"
-    }
-
-    fn victim(&self, candidates: &[VictimCandidate], now: SimTime) -> usize {
-        let utility = |c: &VictimCandidate| {
-            let age = now.saturating_since(c.fetched_at).as_secs().max(1.0);
-            c.access_count as f64 / (age * c.size as f64)
-        };
-        candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| utility(a).total_cmp(&utility(b)).then(a.item.cmp(&b.item)))
             .map(|(i, _)| i)
             .expect("non-empty candidates")
     }
@@ -214,43 +143,26 @@ impl CachePolicy for Ewma {
 mod tests {
     use super::*;
 
-    fn cand(item: u32, fetched: f64, last: f64, count: u64, size: u64) -> VictimCandidate {
+    fn cand(item: u32, last: f64, count: u64) -> VictimCandidate {
         VictimCandidate {
             item: DataItemId(item),
-            fetched_at: SimTime::from_secs(fetched),
             last_access: SimTime::from_secs(last),
             access_count: count,
-            size,
         }
     }
 
     #[test]
     fn lru_evicts_stalest() {
-        let cs = [cand(0, 0.0, 50.0, 3, 1), cand(1, 0.0, 10.0, 9, 1)];
+        let cs = [cand(0, 50.0, 3), cand(1, 10.0, 9)];
         assert_eq!(Lru.victim(&cs, SimTime::from_secs(100.0)), 1);
         assert_eq!(Lru.name(), "lru");
     }
 
     #[test]
-    fn lfu_evicts_least_popular() {
-        let cs = [cand(0, 0.0, 50.0, 3, 1), cand(1, 0.0, 10.0, 9, 1)];
-        assert_eq!(Lfu.victim(&cs, SimTime::from_secs(100.0)), 0);
-    }
-
-    #[test]
-    fn utility_prefers_keeping_hot_small_items() {
-        // Item 0: 100 accesses, size 1, young. Item 1: 1 access, size 1000.
-        let cs = [cand(0, 90.0, 95.0, 100, 1), cand(1, 0.0, 5.0, 1, 1000)];
-        assert_eq!(Utility.victim(&cs, SimTime::from_secs(100.0)), 1);
-    }
-
-    #[test]
     fn deterministic_tie_breaking() {
-        let cs = [cand(2, 0.0, 10.0, 1, 1), cand(1, 0.0, 10.0, 1, 1)];
+        let cs = [cand(2, 10.0, 1), cand(1, 10.0, 1)];
         // Equal stats: smaller item id evicted.
         assert_eq!(Lru.victim(&cs, SimTime::from_secs(100.0)), 1);
-        assert_eq!(Lfu.victim(&cs, SimTime::from_secs(100.0)), 1);
-        assert_eq!(Utility.victim(&cs, SimTime::from_secs(100.0)), 1);
         assert_eq!(Ewma::default().victim(&cs, SimTime::from_secs(100.0)), 1);
     }
 
@@ -258,7 +170,7 @@ mod tests {
     fn ewma_balances_frequency_against_recency() {
         // Item 0: heavily accessed but long idle. Item 1: lightly accessed
         // but just touched.
-        let cs = [cand(0, 0.0, 100.0, 100, 1), cand(1, 0.0, 86_000.0, 2, 1)];
+        let cs = [cand(0, 100.0, 100), cand(1, 86_000.0, 2)];
         let now = SimTime::from_secs(86_400.0);
         // A short decay scale forgets item 0's history → it is evicted.
         assert_eq!(Ewma::new(SimDuration::from_hours(1.0)).victim(&cs, now), 0);

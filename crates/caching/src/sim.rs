@@ -21,15 +21,14 @@
 //! time. Query issues and deadlines are [`CachingTimer`]s, and deadlines
 //! are ordered *after* contacts at the same instant (a query is still
 //! servable at a contact exactly at its deadline). Under fault injection,
-//! churn suppresses contacts, truncation blocks them for data, and
-//! transmission loss fails individual hops.
+//! churn suppresses contacts and transmission loss fails individual hops.
 
 use omn_contacts::{ContactDriver, ContactGraph, ContactSource, NodeId, TransferOutcome};
 use omn_sim::metrics::{Registry, SampleHistogram};
 use omn_sim::{EventClass, SimDuration, SimTime, TransferBudget};
 
 use crate::item::{Catalog, DataItemId};
-use crate::ncl::{select_ncls, NclConfig};
+use crate::ncl::select_ncls;
 use crate::policy::CachePolicy;
 use crate::query::{Query, QueryWorkload};
 use crate::store::CacheStore;
@@ -120,8 +119,9 @@ impl Default for MessageSizes {
 /// Caching-layer parameters.
 #[derive(Debug, Clone)]
 pub struct CachingConfig {
-    /// NCL selection parameters.
-    pub ncl: NclConfig,
+    /// How many Network Central Locations to cache at (the most central
+    /// nodes by delay-closeness; see [`select_ncls`]).
+    pub ncls: usize,
     /// Per-node cache capacity in items.
     pub cache_capacity: usize,
     /// Query deadline: unanswered queries older than this fail.
@@ -135,7 +135,7 @@ pub struct CachingConfig {
 impl Default for CachingConfig {
     fn default() -> CachingConfig {
         CachingConfig {
-            ncl: NclConfig::new(4),
+            ncls: 4,
             cache_capacity: 16,
             query_deadline: SimDuration::from_hours(24.0),
             sizes: MessageSizes::default(),
@@ -190,8 +190,8 @@ pub struct AccessReport {
     /// send happened even if the receive did not.
     pub transmissions: u64,
     /// Kernel and fault counters: `down-contacts` (suppressed by churn),
-    /// `blocked-contacts` (truncated), `failed-transmissions` (hops lost
-    /// to transmission loss). Empty without fault injection.
+    /// `failed-transmissions` (hops lost to transmission loss). Empty
+    /// without fault injection.
     pub extras: Registry,
     /// Nodes caching each item at the end of the run (indexed by item id),
     /// including the item's source.
@@ -322,7 +322,7 @@ impl<'a> CachingRun<'a> {
         driver: &ContactDriver<S>,
     ) -> (CachingRun<'a>, Vec<(SimTime, CachingTimer)>) {
         let n = driver.node_count();
-        let ncls = select_ncls(graph, &config.ncl);
+        let ncls = select_ncls(graph, config.ncls);
         let delays: Vec<Vec<Option<f64>>> = (0..n)
             .map(|i| graph.shortest_expected_delays(NodeId(i as u32)))
             .collect();

@@ -21,8 +21,6 @@ pub struct CacheEntry {
     pub last_access: SimTime,
     /// Read count.
     pub access_count: u64,
-    /// Item size in bytes.
-    pub size: u64,
 }
 
 /// A bounded per-node cache with pluggable replacement.
@@ -114,10 +112,8 @@ impl CacheStore {
                 .iter()
                 .map(|e| VictimCandidate {
                     item: e.item,
-                    fetched_at: e.fetched_at,
                     last_access: e.last_access,
                     access_count: e.access_count,
-                    size: e.size,
                 })
                 .collect();
             let victim = candidates[policy.victim(&candidates, now)].item;
@@ -132,7 +128,6 @@ impl CacheStore {
                 fetched_at: now,
                 last_access: now,
                 access_count: 0,
-                size: item.size(),
             },
         );
         true
@@ -189,7 +184,7 @@ impl CacheStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Lfu, Lru};
+    use crate::policy::{Ewma, Lru};
     use omn_contacts::NodeId;
 
     fn t(s: f64) -> SimTime {
@@ -245,15 +240,17 @@ mod tests {
         assert_eq!(s.evictions(), 1);
     }
 
+    /// A near-infinite EWMA decay scale ranks by access count alone.
     #[test]
     fn lfu_policy_in_store() {
+        let by_count = Ewma::new(SimDuration::from_secs(1e12));
         let mut s = CacheStore::new(2);
-        s.put(&item(1), 0, t(0.0), &Lfu);
-        s.put(&item(2), 0, t(1.0), &Lfu);
+        s.put(&item(1), 0, t(0.0), &by_count);
+        s.put(&item(2), 0, t(1.0), &by_count);
         s.access(DataItemId(2), t(2.0));
         s.access(DataItemId(2), t(3.0));
         s.access(DataItemId(1), t(4.0));
-        s.put(&item(3), 0, t(10.0), &Lfu);
+        s.put(&item(3), 0, t(10.0), &by_count);
         assert!(!s.contains(DataItemId(1)), "item 1 had fewer accesses");
         assert!(s.contains(DataItemId(2)));
     }

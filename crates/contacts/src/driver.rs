@@ -6,9 +6,9 @@
 //! simulator consulted the [`FaultPlan`](crate::faults::FaultPlan). The
 //! [`ContactDriver`] centralizes that logic: it feeds contacts from a
 //! [`ContactSource`] into an [`Engine`](omn_sim::Engine) and classifies each
-//! contact's *fate* — deliverable, suppressed by node downtime, or truncated
-//! — so every simulator applies churn, departures, truncation, and
-//! transmission loss with identical semantics.
+//! contact's *fate* — deliverable, or suppressed by node downtime — so every
+//! simulator applies churn, departures, and transmission loss with
+//! identical semantics.
 //!
 //! Two feeding modes exist:
 //!
@@ -35,30 +35,24 @@
 
 use std::collections::VecDeque;
 
-use omn_sim::{Engine, EventClass, RngFactory, SimDuration, SimTime, TransferBudget};
+use omn_sim::{Engine, EventClass, RngFactory, SimTime, TransferBudget};
 
 use crate::faults::{FaultConfig, FaultPlan, Rejoin};
 use crate::source::{ContactSource, LastContact, TraceSource};
 use crate::{Contact, ContactTrace, NodeId};
 
-/// What happens to a single contact once faults are applied, in layering
-/// order (checked by [`ContactDriver::fate`]):
-///
-/// 1. If either endpoint is down (churned out or departed), the contact is
-///    [`Down`](ContactFate::Down): the radios never meet, so rate
-///    estimators see nothing and no protocol exchange happens.
-/// 2. Otherwise, if the contact is truncated, it is
-///    [`Blocked`](ContactFate::Blocked): the radios sight each other (rate
-///    estimators record the contact) but no data can be transferred.
-/// 3. Otherwise it is [`Deliverable`](ContactFate::Deliverable).
+/// What happens to a single contact once faults are applied (checked by
+/// [`ContactDriver::fate`]): if either endpoint is down (churned out,
+/// departed, crashed, or inside a regional outage), the contact is
+/// [`Down`](ContactFate::Down): the radios never meet, so rate estimators
+/// see nothing and no protocol exchange happens. Otherwise it is
+/// [`Deliverable`](ContactFate::Deliverable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContactFate {
     /// The contact proceeds normally; data may be exchanged.
     Deliverable,
     /// At least one endpoint is down; the contact never happens at all.
     Down,
-    /// The contact is truncated: sighted by estimators, useless for data.
-    Blocked,
 }
 
 /// The result of one budget-constrained transfer attempt; see
@@ -310,15 +304,10 @@ impl<S: ContactSource> ContactDriver<S> {
     /// Panics if `index` is not resident (see
     /// [`contact`](ContactDriver::contact)).
     #[must_use]
-    pub fn fate(&mut self, index: usize, at: SimTime) -> ContactFate {
+    pub fn fate(&self, index: usize, at: SimTime) -> ContactFate {
         let (a, b) = self.contact(index).pair();
-        let Some(plan) = &mut self.plan else {
-            return ContactFate::Deliverable;
-        };
-        if plan.node_down(a, at) || plan.node_down(b, at) {
+        if self.node_down(a, at) || self.node_down(b, at) {
             ContactFate::Down
-        } else if plan.contact_blocked(index) {
-            ContactFate::Blocked
         } else {
             ContactFate::Deliverable
         }
@@ -375,14 +364,6 @@ impl<S: ContactSource> ContactDriver<S> {
         self.plan.as_ref().is_some_and(|p| p.node_down(node, at))
     }
 
-    /// The configured estimator observation lag (zero without a plan).
-    #[must_use]
-    pub fn estimator_lag(&self) -> SimDuration {
-        self.plan
-            .as_ref()
-            .map_or(SimDuration::ZERO, FaultPlan::estimator_lag)
-    }
-
     /// All rejoins within the source span, sorted (empty without a plan).
     /// Precomputed at plan build time; queries are allocation-free.
     #[must_use]
@@ -421,6 +402,7 @@ mod tests {
     use super::*;
     use crate::faults::DowntimeConfig;
     use crate::synth::{generate_pairwise, PairwiseConfig};
+    use omn_sim::SimDuration;
 
     fn trace(seed: u64) -> ContactTrace {
         let config = PairwiseConfig::new(10, SimDuration::from_days(1.0));
@@ -480,17 +462,15 @@ mod tests {
         }
         assert!(!driver.transfer_fails());
         assert!(!driver.transfer_corrupts());
-        assert!(driver.estimator_lag().is_zero());
         assert!(driver.rejoin_events().is_empty());
         assert!(driver.departed().is_empty());
         assert!(driver.plan().is_none());
     }
 
     #[test]
-    fn fate_layers_downtime_over_truncation() {
+    fn fate_is_down_exactly_when_an_endpoint_is_down() {
         let t = trace(3);
         let config = FaultConfig {
-            contact_failure: 1.0,
             downtime: Some(DowntimeConfig {
                 node_fraction: 1.0,
                 mean_uptime: SimDuration::from_hours(2.0),
@@ -502,9 +482,9 @@ mod tests {
         let mut driver = ContactDriver::new(&t, Some(config), &RngFactory::new(3));
         let mut engine: Engine<usize> = Engine::new();
         driver.prime(&mut engine, EventClass(60), |i| i);
-        let reference = driver.plan().expect("plan must exist").clone();
+        let reference = driver.plan().expect("plan must exist");
         let mut down = 0;
-        let mut blocked = 0;
+        let mut deliverable = 0;
         for (i, c) in t.contacts().iter().enumerate() {
             let (a, b) = c.pair();
             let fate = driver.fate(i, c.start());
@@ -512,31 +492,12 @@ mod tests {
                 assert_eq!(fate, ContactFate::Down);
                 down += 1;
             } else {
-                // contact_failure = 1.0 truncates every surviving contact.
-                assert_eq!(fate, ContactFate::Blocked);
-                blocked += 1;
+                assert_eq!(fate, ContactFate::Deliverable);
+                deliverable += 1;
             }
         }
         assert!(down > 0, "full churn produced no downtime suppression");
-        assert!(blocked > 0, "no contact survived churn to be truncated");
-    }
-
-    #[test]
-    fn fate_matches_plan_queries_for_reproducibility() {
-        let t = trace(4);
-        let config = FaultConfig {
-            contact_failure: 0.4,
-            ..FaultConfig::default()
-        };
-        let mut d1 = ContactDriver::new(&t, Some(config), &RngFactory::new(4));
-        let mut d2 = ContactDriver::new(&t, Some(config), &RngFactory::new(4));
-        let mut e1: Engine<usize> = Engine::new();
-        let mut e2: Engine<usize> = Engine::new();
-        d1.prime(&mut e1, EventClass(60), |i| i);
-        d2.prime(&mut e2, EventClass(60), |i| i);
-        for (i, c) in t.contacts().iter().enumerate() {
-            assert_eq!(d1.fate(i, c.start()), d2.fate(i, c.start()));
-        }
+        assert!(deliverable > 0, "no contact survived churn");
     }
 
     #[test]

@@ -3,36 +3,28 @@
 //! A [`FaultPlan`] derives every fault a simulation run will experience
 //! from a [`FaultConfig`] and an [`RngFactory`], so that runs are fully
 //! reproducible: the same seed, population, and config always yield the same
-//! blocked contacts, downtime windows, departures, and transmission-loss
-//! draws. Each fault kind draws from its own named stream, so enabling one
-//! kind never perturbs another — and a plan whose probabilities are all zero
-//! consumes no randomness at all, leaving fault-free runs bit-identical to
-//! runs without a plan.
+//! downtime windows, departures, and transmission-loss draws. Each fault
+//! kind draws from its own named stream, so enabling one kind never perturbs
+//! another — and a plan whose probabilities are all zero consumes no
+//! randomness at all, leaving fault-free runs bit-identical to runs without
+//! a plan.
 //!
 //! A plan needs only the node count and span up front — never the contacts
 //! themselves — so it works unchanged over streaming
 //! [`ContactSource`](crate::ContactSource)s whose contact count is unknown
-//! until the stream ends. Per-contact truncation flags are drawn lazily in
-//! contact-index order, which makes them bit-identical to an eager pass over
-//! a materialized trace regardless of query order.
+//! until the stream ends.
 //!
 //! Fault kinds (all independent, all optional):
 //!
 //! * **Transmission loss** — each attempted data transfer fails i.i.d. with
 //!   probability [`FaultConfig::transmission_loss`].
-//! * **Contact truncation** — each contact is rendered useless for data
-//!   transfer (but still observed by rate estimators, as a radio sighting
-//!   would be) with probability [`FaultConfig::contact_failure`].
 //! * **Transient downtime (churn)** — a fraction of nodes alternate between
 //!   exponentially distributed up and down periods; contacts involving a
 //!   down node are suppressed entirely.
 //! * **Permanent departures** — a fraction of nodes leave at a fixed point
-//!   in the trace and never return. This subsumes
-//!   [`ContactTrace::with_departures`](crate::ContactTrace::with_departures)
-//!   without rewriting the trace: the plan reports the departed set and
-//!   models departure as a downtime window that never ends.
-//! * **Estimator lag** — rate-estimator observations are delayed by a fixed
-//!   lag, modelling stale control-plane state.
+//!   in the trace and never return. The trace is not rewritten: the plan
+//!   reports the departed set and models departure as a downtime window
+//!   that never ends.
 //! * **Stale-version corruption** — an adversarial fault: a data transfer
 //!   delivers a *stale* version in place of the real payload, one a naive
 //!   receiver (no version check) would happily absorb. The protocol's
@@ -104,15 +96,10 @@ pub struct FaultConfig {
     /// Probability (in `[0, 1]`) that any single attempted data transfer
     /// fails.
     pub transmission_loss: f64,
-    /// Probability (in `[0, 1]`) that a contact carries no data at all,
-    /// while still being sighted by rate estimators.
-    pub contact_failure: f64,
     /// Transient node downtime, or `None` for no churn.
     pub downtime: Option<DowntimeConfig>,
     /// Permanent departures, or `None` for none.
     pub departures: Option<DepartureConfig>,
-    /// Delay before a contact observation reaches the rate estimators.
-    pub estimator_lag: SimDuration,
     /// Probability (in `[0, 1]`) that a successful data transfer delivers
     /// a stale version in place of the real payload (adversarial replay).
     pub corruption: f64,
@@ -129,10 +116,8 @@ impl Default for FaultConfig {
     fn default() -> FaultConfig {
         FaultConfig {
             transmission_loss: 0.0,
-            contact_failure: 0.0,
             downtime: None,
             departures: None,
-            estimator_lag: SimDuration::ZERO,
             corruption: 0.0,
             crashes: None,
             regional: None,
@@ -158,16 +143,11 @@ pub struct Rejoin {
 /// A reproducible fault schedule for one run over one node population.
 /// Built once with [`FaultPlan::build`]; queried by the simulator as the run
 /// unfolds. Downtime and departures are materialized up front (they depend
-/// only on the population and span); contact-truncation flags are drawn
-/// lazily in contact-index order so the plan never needs the contact count.
+/// only on the population and span), so the plan never needs the contact
+/// count.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     config: FaultConfig,
-    /// Cache of per-contact truncation flags, extended on demand in index
-    /// order from `block_rng`.
-    blocked: Vec<bool>,
-    /// Stream for truncation draws; `Some` iff `contact_failure > 0`.
-    block_rng: Option<StdRng>,
     /// Per-node sorted `[from, to)` downtime windows. Departures appear as a
     /// final window ending at `SimTime::from_secs(f64::MAX)`. Crash and
     /// regional-outage windows are kept separately (`crash_windows`,
@@ -221,8 +201,8 @@ impl FaultPlan {
     /// Builds a fault schedule for a population of `node_count` nodes over
     /// `span` from `config`.
     ///
-    /// Draws from the factory streams `"fault-contacts"`,
-    /// `"fault-downtime"` (indexed per node), `"fault-departures"`,
+    /// Draws from the factory streams `"fault-downtime"` (indexed per
+    /// node), `"fault-departures"`,
     /// `"fault-transmissions"`, `"fault-crashes"` (indexed per node),
     /// `"fault-regional"`, and `"fault-corruption"` — never from streams
     /// the simulator itself uses, so adding a plan cannot perturb protocol
@@ -243,11 +223,8 @@ impl FaultPlan {
         factory: &RngFactory,
     ) -> FaultPlan {
         assert_probability(config.transmission_loss, "transmission_loss");
-        assert_probability(config.contact_failure, "contact_failure");
         assert_probability(config.corruption, "corruption");
         let nodes = || (0..node_count as u32).map(NodeId);
-
-        let block_rng = (config.contact_failure > 0.0).then(|| factory.stream("fault-contacts"));
 
         // Churn and crash windows share one generator, differing only in
         // the named stream and the config they read.
@@ -373,8 +350,6 @@ impl FaultPlan {
 
         FaultPlan {
             config,
-            blocked: Vec::new(),
-            block_rng,
             down_windows,
             crash_windows,
             regional_windows,
@@ -396,29 +371,10 @@ impl FaultPlan {
     #[must_use]
     pub fn is_inert(&self) -> bool {
         self.config.transmission_loss == 0.0
-            && self.config.contact_failure == 0.0
             && self.config.corruption == 0.0
             && self.down_windows.iter().all(Vec::is_empty)
             && self.crash_windows.iter().all(Vec::is_empty)
             && self.regional_windows.is_empty()
-            && self.config.estimator_lag.is_zero()
-    }
-
-    /// Whether the `index`-th contact of the run is truncated (carries no
-    /// data).
-    ///
-    /// Flags are drawn lazily from the `"fault-contacts"` stream in index
-    /// order and cached, so any query order yields the same flags an eager
-    /// pass over a materialized trace would.
-    #[must_use]
-    pub fn contact_blocked(&mut self, index: usize) -> bool {
-        let Some(rng) = self.block_rng.as_mut() else {
-            return false;
-        };
-        while self.blocked.len() <= index {
-            self.blocked.push(rng.gen_bool(self.config.contact_failure));
-        }
-        self.blocked[index]
     }
 
     /// Whether `node` is down (churned out, departed, crashed, or inside a
@@ -492,12 +448,6 @@ impl FaultPlan {
         &self.rejoins
     }
 
-    /// The configured estimator observation lag.
-    #[must_use]
-    pub fn estimator_lag(&self) -> SimDuration {
-        self.config.estimator_lag
-    }
-
     /// Draws whether the next attempted data transfer fails. Consumes no
     /// randomness when the configured loss probability is zero, so inert
     /// plans stay bit-identical to no plan at all.
@@ -534,7 +484,6 @@ mod tests {
         let t = trace(1);
         let mut plan = build_for(FaultConfig::default(), &t, &RngFactory::new(1));
         assert!(plan.is_inert());
-        assert!((0..t.len()).all(|i| !plan.contact_blocked(i)));
         assert!(plan.departed().is_empty());
         assert!((0..32).all(|_| !plan.transfer_fails()));
         for n in t.nodes() {
@@ -718,7 +667,6 @@ mod tests {
         let t = trace(4);
         let config = FaultConfig {
             transmission_loss: 0.35,
-            contact_failure: 0.2,
             downtime: Some(DowntimeConfig {
                 node_fraction: 0.5,
                 mean_uptime: SimDuration::from_hours(8.0),
@@ -730,7 +678,6 @@ mod tests {
                 at_frac: 0.6,
                 exempt: None,
             }),
-            estimator_lag: SimDuration::from_mins(30.0),
             corruption: 0.15,
             crashes: Some(DowntimeConfig {
                 node_fraction: 0.4,
@@ -748,9 +695,6 @@ mod tests {
         let mut p1 = build_for(config, &t, &factory);
         let mut p2 = build_for(config, &t, &factory);
         assert_eq!(p1.departed(), p2.departed());
-        for i in 0..t.len() {
-            assert_eq!(p1.contact_blocked(i), p2.contact_blocked(i));
-        }
         for n in t.nodes() {
             assert_eq!(p1.down_windows_of(n), p2.down_windows_of(n));
         }
@@ -762,22 +706,5 @@ mod tests {
             "35% loss drew no failures in 128 tries"
         );
         assert!(a.iter().any(|&x| !x), "35% loss failed every transfer");
-    }
-
-    #[test]
-    fn lazy_blocked_flags_match_any_query_order() {
-        let config = FaultConfig {
-            contact_failure: 0.4,
-            ..FaultConfig::default()
-        };
-        let factory = RngFactory::new(7);
-        let mut forward = FaultPlan::build(config, 5, SimTime::from_hours(1.0), &factory);
-        let mut scattered = FaultPlan::build(config, 5, SimTime::from_hours(1.0), &factory);
-        let in_order: Vec<bool> = (0..64).map(|i| forward.contact_blocked(i)).collect();
-        // Query far ahead first, then backfill: flags must not change.
-        let ahead = scattered.contact_blocked(63);
-        assert_eq!(ahead, in_order[63]);
-        let backfill: Vec<bool> = (0..64).map(|i| scattered.contact_blocked(i)).collect();
-        assert_eq!(backfill, in_order);
     }
 }

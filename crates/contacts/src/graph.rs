@@ -6,11 +6,9 @@
 //! estimated from a trace and provides:
 //!
 //! * shortest **expected-delay** paths (Dijkstra with edge weight `1/λ`),
-//! * the centrality metrics used to pick Network Central Locations (NCLs)
-//!   in the cooperative caching framework: degree, weighted degree
-//!   (total contact rate), delay-closeness, betweenness, and the
-//!   contact-probability metric `Σj (1 − e^(−λij·τ))` — the expected number
-//!   of distinct nodes met within a window `τ`.
+//! * the two centrality metrics the simulators rank nodes by: degree
+//!   (the streamed role selection) and delay-closeness (role selection and
+//!   the cooperative caching framework's Network Central Locations, NCLs).
 //!
 //! The graph is stored as per-node sorted adjacency lists rather than a
 //! dense `n × n` matrix, so memory scales with the number of node pairs
@@ -37,8 +35,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use omn_sim::SimDuration;
-
 use crate::contact::{Contact, NodeId};
 use crate::trace::ContactTrace;
 
@@ -56,20 +52,10 @@ pub(crate) fn pair_key(a: NodeId, b: NodeId) -> u64 {
 pub enum Centrality {
     /// Number of distinct neighbors with non-zero contact rate.
     Degree,
-    /// Sum of contact rates to all other nodes.
-    WeightedDegree,
     /// Inverse of the mean shortest expected delay to all reachable nodes,
     /// scaled by the fraction of reachable nodes (harmonically robust to
     /// disconnected graphs).
     Closeness,
-    /// Weighted betweenness (Brandes) on expected-delay shortest paths.
-    Betweenness,
-    /// Expected number of distinct nodes contacted within the window:
-    /// `Σj (1 − e^(−λij·τ))`.
-    ContactProbability(
-        /// The window τ.
-        SimDuration,
-    ),
 }
 
 /// Symmetric pairwise contact-rate graph.
@@ -286,13 +272,6 @@ impl ContactGraph {
         (r > 0.0).then(|| 1.0 / r)
     }
 
-    /// Probability that `a` meets `b` within window `tau` under the
-    /// exponential inter-contact model: `1 − e^(−λ·τ)`.
-    #[must_use]
-    pub fn contact_probability(&self, a: NodeId, b: NodeId, tau: SimDuration) -> f64 {
-        1.0 - (-self.rate(a, b) * tau.as_secs()).exp()
-    }
-
     /// Neighbors of `node` with non-zero rate, as `(peer, rate)`, in
     /// ascending peer order.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
@@ -368,11 +347,6 @@ impl ContactGraph {
     pub fn centrality_scores(&self, metric: Centrality) -> Vec<f64> {
         match metric {
             Centrality::Degree => self.adj.iter().map(|row| row.len() as f64).collect(),
-            Centrality::WeightedDegree => self
-                .adj
-                .iter()
-                .map(|row| row.iter().map(|&(_, r)| r).sum())
-                .collect(),
             Centrality::Closeness => (0..self.n)
                 .map(|i| {
                     let dist = self.shortest_expected_delays(NodeId(i as u32));
@@ -393,18 +367,6 @@ impl ContactGraph {
                     }
                 })
                 .collect(),
-            Centrality::Betweenness => self.betweenness(),
-            // Absent pairs contribute exactly `1 − e⁰ = 0.0`, and `x + 0.0`
-            // is bit-identical to `x` for the non-negative partial sums
-            // here, so summing only stored neighbors matches the dense
-            // all-pairs sum bit for bit.
-            Centrality::ContactProbability(tau) => (0..self.n)
-                .map(|i| {
-                    self.neighbors(NodeId(i as u32))
-                        .map(|(j, _)| self.contact_probability(NodeId(i as u32), j, tau))
-                        .sum()
-                })
-                .collect(),
         }
     }
 
@@ -420,75 +382,6 @@ impl ContactGraph {
             .take(k)
             .map(|i| NodeId(i as u32))
             .collect()
-    }
-
-    /// Brandes' betweenness centrality on expected-delay shortest paths.
-    fn betweenness(&self) -> Vec<f64> {
-        let n = self.n;
-        let mut bc = vec![0.0f64; n];
-        for s in 0..n {
-            // Weighted Brandes with a Dijkstra forward pass.
-            let mut sigma = vec![0.0f64; n];
-            let mut dist = vec![f64::INFINITY; n];
-            let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-            let mut stack: Vec<usize> = Vec::new();
-
-            #[derive(PartialEq)]
-            struct K(f64, usize);
-            impl Eq for K {}
-            impl PartialOrd for K {
-                fn partial_cmp(&self, o: &K) -> Option<std::cmp::Ordering> {
-                    Some(self.cmp(o))
-                }
-            }
-            impl Ord for K {
-                fn cmp(&self, o: &K) -> std::cmp::Ordering {
-                    self.0.total_cmp(&o.0).then(self.1.cmp(&o.1))
-                }
-            }
-
-            sigma[s] = 1.0;
-            dist[s] = 0.0;
-            let mut heap = BinaryHeap::new();
-            heap.push(Reverse(K(0.0, s)));
-            let mut settled = vec![false; n];
-
-            while let Some(Reverse(K(d, u))) = heap.pop() {
-                if settled[u] || d > dist[u] {
-                    continue;
-                }
-                settled[u] = true;
-                stack.push(u);
-                for &(j, r) in &self.adj[u] {
-                    let j = j as usize;
-                    let nd = d + 1.0 / r;
-                    if nd < dist[j] - 1e-12 {
-                        dist[j] = nd;
-                        sigma[j] = sigma[u];
-                        preds[j] = vec![u];
-                        heap.push(Reverse(K(nd, j)));
-                    } else if (nd - dist[j]).abs() <= 1e-12 {
-                        sigma[j] += sigma[u];
-                        preds[j].push(u);
-                    }
-                }
-            }
-
-            let mut delta = vec![0.0f64; n];
-            while let Some(w) = stack.pop() {
-                for &v in &preds[w] {
-                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
-                }
-                if w != s {
-                    bc[w] += delta[w];
-                }
-            }
-        }
-        // Undirected graph: each pair counted twice.
-        for v in &mut bc {
-            *v /= 2.0;
-        }
-        bc
     }
 }
 
@@ -581,32 +474,6 @@ mod tests {
         let g = line_graph();
         let deg = g.centrality_scores(Centrality::Degree);
         assert_eq!(deg, vec![1.0, 2.0, 2.0, 1.0]);
-        let wdeg = g.centrality_scores(Centrality::WeightedDegree);
-        assert_eq!(wdeg, vec![1.0, 2.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn betweenness_on_line() {
-        let g = line_graph();
-        let bc = g.centrality_scores(Centrality::Betweenness);
-        // Line 0-1-2-3: node 1 lies on paths 0-2, 0-3; node 2 on 0-3, 1-3.
-        assert_eq!(bc[0], 0.0);
-        assert_eq!(bc[3], 0.0);
-        assert!((bc[1] - 2.0).abs() < 1e-9);
-        assert!((bc[2] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn betweenness_splits_over_equal_paths() {
-        // Square: 0-1, 0-2, 1-3, 2-3; paths 0→3 split over 1 and 2.
-        let mut g = ContactGraph::new(4);
-        g.set_rate(NodeId(0), NodeId(1), 1.0);
-        g.set_rate(NodeId(0), NodeId(2), 1.0);
-        g.set_rate(NodeId(1), NodeId(3), 1.0);
-        g.set_rate(NodeId(2), NodeId(3), 1.0);
-        let bc = g.centrality_scores(Centrality::Betweenness);
-        assert!((bc[1] - 0.5).abs() < 1e-9, "bc = {bc:?}");
-        assert!((bc[2] - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -615,16 +482,6 @@ mod tests {
         let cl = g.centrality_scores(Centrality::Closeness);
         assert!(cl[1] > cl[0]);
         assert!(cl[2] > cl[3]);
-    }
-
-    #[test]
-    fn contact_probability_metric() {
-        let g = line_graph();
-        let tau = SimDuration::from_secs(1.0);
-        let p = g.contact_probability(NodeId(0), NodeId(1), tau);
-        assert!((p - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
-        let scores = g.centrality_scores(Centrality::ContactProbability(tau));
-        assert!(scores[1] > scores[0]);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! The crate provides:
 //!
 //! * [`Contact`] / [`ContactTrace`] — validated contact intervals and trace
-//!   containers with timeline iteration, windowing and time scaling.
+//!   containers with windowing and time scaling; [`link`] flattens a trace
+//!   into ordered link up/down events.
 //! * [`io`] — a plain-text trace format with round-trip read/write.
 //! * [`TraceStats`] — aggregate trace characteristics (inter-contact times,
 //!   contact durations, degrees) used to produce trace-summary tables.
@@ -26,13 +27,14 @@
 //! * [`ContactDriver`] — the shared contact feed for the event kernel: it
 //!   pulls contacts from a [`ContactSource`] (scheduling each into the
 //!   [`Engine`](omn_sim::Engine) as the run unfolds, or priming everything
-//!   up front) and classifies each contact's fate (deliverable, down,
-//!   blocked) under the active fault plan, so every simulator applies
-//!   faults with identical semantics.
+//!   up front) and classifies each contact's fate (deliverable or down)
+//!   under the active fault plan, so every simulator applies faults with
+//!   identical semantics.
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`]):
-//!   transmission loss, contact truncation, node churn with rejoin,
-//!   permanent departures, and lagged estimator observations, all seeded
-//!   from dedicated [`RngFactory`](omn_sim::RngFactory) streams.
+//!   transmission loss, node churn with rejoin, permanent departures,
+//!   stale-version corruption, crashes with state loss, and regional
+//!   outages, all seeded from dedicated
+//!   [`RngFactory`](omn_sim::RngFactory) streams.
 //! * [`synth`] — synthetic mobility generators (heterogeneous pairwise
 //!   Poisson, community-structured, diurnal modulation) with presets
 //!   calibrated to the published statistics of the MIT Reality and
@@ -75,4 +77,4 @@ pub use graph::{Centrality, ContactGraph};
 pub use link::{LinkEvent, LinkEventKind, LinkEvents};
 pub use source::{ContactSource, LastContact, TraceSource};
 pub use stats::TraceStats;
-pub use trace::{ContactTrace, TimelineEvent, TimelineKind, TraceBuilder, TraceError};
+pub use trace::{ContactTrace, TraceBuilder, TraceError};

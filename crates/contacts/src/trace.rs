@@ -6,29 +6,6 @@ use omn_sim::SimTime;
 
 use crate::contact::{Contact, NodeId};
 
-/// What a [`TimelineEvent`] marks: a link coming up or going down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimelineKind {
-    /// Two nodes came into range.
-    Up,
-    /// Two nodes left range.
-    Down,
-}
-
-/// A point event on the trace timeline: one endpoint of some contact
-/// interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineEvent {
-    /// When the event occurs.
-    pub time: SimTime,
-    /// Up or down.
-    pub kind: TimelineKind,
-    /// Smaller endpoint of the pair.
-    pub a: NodeId,
-    /// Larger endpoint of the pair.
-    pub b: NodeId,
-}
-
 /// An immutable, validated contact trace.
 ///
 /// Invariants: contacts are sorted by `(start, end, a, b)`; every endpoint id
@@ -205,37 +182,6 @@ impl ContactTrace {
         self.contacts.is_empty()
     }
 
-    /// All up/down timeline events, sorted by time with `Down` before `Up`
-    /// at equal instants (a link that flaps at `t` is processed as
-    /// down-then-up).
-    #[must_use]
-    pub fn timeline(&self) -> Vec<TimelineEvent> {
-        let mut events = Vec::with_capacity(self.contacts.len() * 2);
-        for c in &self.contacts {
-            events.push(TimelineEvent {
-                time: c.start(),
-                kind: TimelineKind::Up,
-                a: c.a(),
-                b: c.b(),
-            });
-            events.push(TimelineEvent {
-                time: c.end(),
-                kind: TimelineKind::Down,
-                a: c.a(),
-                b: c.b(),
-            });
-        }
-        events.sort_by(|x, y| {
-            (x.time, matches!(x.kind, TimelineKind::Up), x.a, x.b).cmp(&(
-                y.time,
-                matches!(y.kind, TimelineKind::Up),
-                y.a,
-                y.b,
-            ))
-        });
-        events
-    }
-
     /// The sub-trace overlapping `[from, to)`, clipped to that window and
     /// shifted so the window start becomes time zero.
     #[must_use]
@@ -291,34 +237,6 @@ impl ContactTrace {
         ContactTrace {
             node_count: self.node_count,
             span: SimTime::from_secs(self.span.as_secs() * factor),
-            contacts,
-        }
-    }
-
-    /// Returns a copy in which the given nodes *depart* at `after`: their
-    /// contacts are clipped to end no later than `after` and contacts
-    /// starting afterwards are dropped. Used for failure-injection
-    /// experiments (node churn).
-    ///
-    /// The node count and span are unchanged — departed nodes simply stop
-    /// meeting anyone.
-    #[must_use]
-    pub fn with_departures(&self, departed: &[NodeId], after: SimTime) -> ContactTrace {
-        let is_departed = |n: NodeId| departed.contains(&n);
-        let contacts: Vec<Contact> = self
-            .contacts
-            .iter()
-            .filter_map(|c| {
-                if is_departed(c.a()) || is_departed(c.b()) {
-                    c.clip(SimTime::ZERO, after)
-                } else {
-                    Some(*c)
-                }
-            })
-            .collect();
-        ContactTrace {
-            node_count: self.node_count,
-            span: self.span,
             contacts,
         }
     }
@@ -394,24 +312,6 @@ mod tests {
         let trace = TraceBuilder::new(3).span(t(10.0)).build().unwrap();
         assert!(trace.is_empty());
         assert_eq!(trace.span(), t(10.0));
-        assert!(trace.timeline().is_empty());
-    }
-
-    #[test]
-    fn timeline_orders_down_before_up() {
-        let trace = TraceBuilder::new(3)
-            .contact(c(0, 1, 0.0, 5.0))
-            .contact(c(1, 2, 5.0, 6.0))
-            .build()
-            .unwrap();
-        let tl = trace.timeline();
-        assert_eq!(tl.len(), 4);
-        assert_eq!(tl[0].kind, TimelineKind::Up);
-        // At t=5: down of (0,1) before up of (1,2).
-        assert_eq!(tl[1].time, t(5.0));
-        assert_eq!(tl[1].kind, TimelineKind::Down);
-        assert_eq!(tl[2].time, t(5.0));
-        assert_eq!(tl[2].kind, TimelineKind::Up);
     }
 
     #[test]
@@ -440,27 +340,6 @@ mod tests {
         assert_eq!(s.contacts()[0].start(), t(10.0));
         assert_eq!(s.contacts()[0].end(), t(20.0));
         assert_eq!(s.span(), t(20.0));
-    }
-
-    #[test]
-    fn departures_silence_nodes() {
-        let trace = TraceBuilder::new(3)
-            .contact(c(0, 1, 0.0, 10.0))
-            .contact(c(0, 2, 5.0, 15.0))
-            .contact(c(1, 2, 20.0, 25.0))
-            .build()
-            .unwrap();
-        let failed = trace.with_departures(&[NodeId(2)], t(8.0));
-        // 0-1 untouched; 0-2 clipped to [5, 8); 1-2 dropped entirely.
-        assert_eq!(failed.len(), 2);
-        assert_eq!(failed.contacts()[0].end(), t(10.0));
-        assert_eq!(failed.contacts()[1].pair(), (NodeId(0), NodeId(2)));
-        assert_eq!(failed.contacts()[1].end(), t(8.0));
-        // Span and node count preserved.
-        assert_eq!(failed.span(), trace.span());
-        assert_eq!(failed.node_count(), 3);
-        // No departures: identity.
-        assert_eq!(trace.with_departures(&[], t(0.0)), trace);
     }
 
     #[test]

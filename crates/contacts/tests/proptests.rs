@@ -2,7 +2,7 @@
 
 use omn_contacts::io::{read_trace, write_trace};
 use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
-use omn_contacts::{Contact, ContactGraph, NodeId, TimelineKind, TraceBuilder, TraceStats};
+use omn_contacts::{Contact, ContactGraph, NodeId, TraceBuilder, TraceStats};
 use omn_sim::{RngFactory, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -111,20 +111,6 @@ proptest! {
         prop_assert_eq!(parsed, trace);
     }
 
-    /// The timeline has exactly two events per contact and balanced
-    /// up/down counts, in time order.
-    #[test]
-    fn timeline_is_balanced(contacts in prop::collection::vec(contact_strategy(8), 0..60)) {
-        let trace = TraceBuilder::new(8).contacts(contacts).build().unwrap();
-        let tl = trace.timeline();
-        prop_assert_eq!(tl.len(), trace.len() * 2);
-        let ups = tl.iter().filter(|e| e.kind == TimelineKind::Up).count();
-        prop_assert_eq!(ups, trace.len());
-        for w in tl.windows(2) {
-            prop_assert!(w[0].time <= w[1].time);
-        }
-    }
-
     /// Windowing never yields contacts outside the window and preserves
     /// the per-contact pair structure.
     #[test]
@@ -200,13 +186,7 @@ proptest! {
                 g.set_rate(NodeId(a), NodeId(b), r);
             }
         }
-        for metric in [
-            Centrality::Degree,
-            Centrality::WeightedDegree,
-            Centrality::Closeness,
-            Centrality::Betweenness,
-            Centrality::ContactProbability(SimDuration::from_secs(10.0)),
-        ] {
+        for metric in [Centrality::Degree, Centrality::Closeness] {
             let top = g.top_k(metric, k);
             prop_assert_eq!(top.len(), k.min(10));
             let set: std::collections::HashSet<_> = top.iter().collect();
@@ -248,7 +228,6 @@ proptest! {
     fn fault_plans_are_deterministic(
         seed in any::<u64>(),
         loss in 0.0f64..1.0,
-        truncation in 0.0f64..1.0,
         churn in 0.0f64..1.0,
         dep_frac in 0.0f64..1.0,
         corruption in 0.0f64..1.0,
@@ -263,7 +242,6 @@ proptest! {
         let trace = generate_pairwise(&cfg, &RngFactory::new(seed));
         let fc = FaultConfig {
             transmission_loss: loss,
-            contact_failure: truncation,
             downtime: Some(DowntimeConfig {
                 node_fraction: churn,
                 mean_uptime: SimDuration::from_hours(10.0),
@@ -275,7 +253,6 @@ proptest! {
                 at_frac: 0.5,
                 exempt: Some(NodeId(0)),
             }),
-            estimator_lag: SimDuration::ZERO,
             corruption,
             crashes: Some(DowntimeConfig {
                 node_fraction: crash,
@@ -293,9 +270,6 @@ proptest! {
         let mut p1 = FaultPlan::build(fc, trace.node_count(), trace.span(), &factory);
         let mut p2 = FaultPlan::build(fc, trace.node_count(), trace.span(), &factory);
         prop_assert_eq!(p1.departed(), p2.departed());
-        for i in 0..trace.len() {
-            prop_assert_eq!(p1.contact_blocked(i), p2.contact_blocked(i));
-        }
         for n in trace.nodes() {
             prop_assert_eq!(p1.down_windows_of(n), p2.down_windows_of(n));
             prop_assert_eq!(p1.crash_windows_of(n), p2.crash_windows_of(n));
@@ -317,7 +291,7 @@ proptest! {
     }
 
     /// An all-zero fault config yields an inert plan no matter the trace or
-    /// seed: nothing blocked, nobody down, no loss draw ever fires.
+    /// seed: nobody down, no loss draw ever fires.
     #[test]
     fn zero_fault_config_is_always_inert(seed in any::<u64>(), nodes in 2usize..12) {
         use omn_contacts::faults::{FaultConfig, FaultPlan};
@@ -332,7 +306,6 @@ proptest! {
         );
         prop_assert!(plan.is_inert());
         prop_assert!(plan.departed().is_empty());
-        prop_assert!((0..trace.len()).all(|i| !plan.contact_blocked(i)));
         prop_assert!((0..64).all(|_| !plan.transfer_fails()));
         prop_assert!((0..64).all(|_| !plan.transfer_corrupts()));
         prop_assert!(plan.rejoin_events().is_empty());
@@ -346,7 +319,6 @@ proptest! {
     fn zero_intensity_new_faults_are_inert(
         seed in any::<u64>(),
         loss in 0.0f64..1.0,
-        truncation in 0.0f64..1.0,
         churn in 0.0f64..1.0,
     ) {
         use omn_contacts::faults::{
@@ -354,7 +326,6 @@ proptest! {
         };
         let legacy = FaultConfig {
             transmission_loss: loss,
-            contact_failure: truncation,
             downtime: Some(DowntimeConfig {
                 node_fraction: churn,
                 mean_uptime: SimDuration::from_hours(12.0),
@@ -390,9 +361,6 @@ proptest! {
         prop_assert!(zeroed.regional_windows().is_empty());
         prop_assert_eq!(base.rejoin_events(), zeroed.rejoin_events());
         prop_assert!((0..64).all(|_| !zeroed.transfer_corrupts()));
-        for i in 0..64 {
-            prop_assert_eq!(base.contact_blocked(i), zeroed.contact_blocked(i));
-        }
         let a: Vec<bool> = (0..64).map(|_| base.transfer_fails()).collect();
         let b: Vec<bool> = (0..64).map(|_| zeroed.transfer_fails()).collect();
         prop_assert_eq!(a, b);
@@ -400,15 +368,12 @@ proptest! {
 
     /// A fault plan is a pure function of (config, node count, span, seed):
     /// building over a streamed `ShardedCommunitySource` versus its
-    /// materialized trace yields bit-identical fault schedules, regardless
-    /// of whether the truncation flags are queried lazily along the stream
-    /// or eagerly over the trace.
+    /// materialized trace yields bit-identical fault schedules.
     #[test]
     fn fault_plans_agree_between_streamed_and_materialized(
         seed in any::<u64>(),
         nodes in 4usize..40,
         shards_hint in 1usize..6,
-        truncation in 0.0f64..1.0,
         crash in 0.0f64..1.0,
         outages in 0u32..4,
     ) {
@@ -423,7 +388,6 @@ proptest! {
         let cfg = ShardedCommunityConfig::new(nodes, shards, SimDuration::from_hours(24.0));
         let factory = RngFactory::new(seed);
         let fc = FaultConfig {
-            contact_failure: truncation,
             corruption: 0.5,
             crashes: Some(DowntimeConfig {
                 node_fraction: crash,
@@ -440,27 +404,16 @@ proptest! {
         };
         let fault_factory = RngFactory::new(seed ^ 0x5bd1_e995);
 
-        // Streamed: the plan sees only the source's metadata, flags drawn
-        // lazily as contacts arrive.
-        let mut src = ShardedCommunitySource::new(&cfg, &factory);
+        // Streamed: the plan sees only the source's metadata.
+        let src = ShardedCommunitySource::new(&cfg, &factory);
         let mut streamed_plan =
             FaultPlan::build(fc, src.node_count(), src.span(), &fault_factory);
-        let mut streamed_flags = Vec::new();
-        let mut idx = 0;
-        while src.next_contact().is_some() {
-            streamed_flags.push(streamed_plan.contact_blocked(idx));
-            idx += 1;
-        }
 
-        // Materialized: same config over the equivalent trace, flags drawn
-        // eagerly.
+        // Materialized: same config over the equivalent trace.
         let trace = generate_sharded(&cfg, &factory);
         let mut mat_plan =
             FaultPlan::build(fc, trace.node_count(), trace.span(), &fault_factory);
-        let mat_flags: Vec<bool> =
-            (0..trace.len()).map(|i| mat_plan.contact_blocked(i)).collect();
 
-        prop_assert_eq!(streamed_flags, mat_flags);
         prop_assert_eq!(streamed_plan.rejoin_events(), mat_plan.rejoin_events());
         prop_assert_eq!(streamed_plan.regional_windows(), mat_plan.regional_windows());
         for n in trace.nodes() {

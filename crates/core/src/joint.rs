@@ -358,34 +358,25 @@ impl JointSimulator {
                     driver.advance(ci, &mut engine, CLASS_CONTACT, JointEvent::Contact);
                     let (a, b) = driver.contact(ci).pair();
                     let fate = driver.fate(ci, now);
-                    match fate {
-                        ContactFate::Down => extras.add("down-contacts", 1),
-                        ContactFate::Blocked => extras.add("blocked-contacts", 1),
-                        ContactFate::Deliverable => {}
+                    if fate == ContactFate::Down {
+                        extras.add("down-contacts", 1);
                     }
 
                     // Freshness participants always see the contact (they
-                    // handle fate themselves — estimator sightings survive
-                    // truncation); caching traffic only moves on
-                    // deliverable contacts.
+                    // count a down contact themselves); caching traffic
+                    // only moves on deliverable contacts.
                     macro_rules! fresh_layer {
                         ($budget:expr) => {
-                            for pi in 0..parts.len() {
-                                if let Some((due, timer)) = parts[pi].run.on_contact(
+                            for (part, scheme) in parts.iter_mut().zip(schemes.iter_mut()) {
+                                part.run.on_contact(
                                     a,
                                     b,
                                     fate,
                                     now,
-                                    schemes[pi].as_mut(),
+                                    scheme.as_mut(),
                                     driver.plan_mut(),
                                     $budget,
-                                ) {
-                                    engine.schedule_at_class(
-                                        due,
-                                        timer.class(),
-                                        JointEvent::Freshness(pi, timer),
-                                    );
-                                }
+                                );
                             }
                         };
                     }

@@ -19,12 +19,11 @@
 //! The run executes on the shared `omn-sim` event kernel: a
 //! [`ContactDriver`] pulls the contact stream into an [`Engine`] one event
 //! at a time (each contact event schedules the next), and version births,
-//! queries, expiry instants, churn rejoins and lagged estimator
-//! observations are first-class scheduled events. Same-instant
-//! events are ordered by [`EventClass`] (births before queries before
-//! expiries before rejoins before observations before contacts), which
+//! queries, expiry instants and churn rejoins are first-class scheduled
+//! events. Same-instant events are ordered by [`EventClass`] (births
+//! before queries before expiries before rejoins before contacts), which
 //! fixes the causal conventions the old hand-rolled loop encoded
-//! implicitly.
+//! implicitly. Handling a contact schedules nothing but the next contact.
 
 use std::collections::HashMap;
 
@@ -52,12 +51,11 @@ use crate::scheme::{
 /// Delivery classes for same-instant events, mirroring the drain order of
 /// the pre-kernel loop: a version born exactly when a contact starts is
 /// visible to that contact, a query issued at that instant sees the
-/// newly-born version, and rejoins/observations settle before the exchange.
+/// newly-born version, and rejoins settle before the exchange.
 const CLASS_BIRTH: EventClass = EventClass(10);
 const CLASS_QUERY: EventClass = EventClass(20);
 const CLASS_EXPIRY: EventClass = EventClass(30);
 const CLASS_REJOIN: EventClass = EventClass(40);
-const CLASS_OBS: EventClass = EventClass(50);
 const CLASS_CONTACT: EventClass = EventClass(60);
 
 /// A non-contact event of one freshness participant: the timer alphabet a
@@ -75,16 +73,12 @@ pub enum FreshnessTimer {
     /// A churned-out caching node comes back up; the flag carries whether
     /// the downtime was a crash that wiped the node's state.
     Rejoin(NodeId, bool),
-    /// A delayed estimator observation of a contact between the carried
-    /// pair becomes visible.
-    LaggedObs(NodeId, NodeId),
 }
 
 impl FreshnessTimer {
     /// The delivery class this timer must be scheduled in, preserving the
     /// same-instant drain order of the standalone simulator (births before
-    /// queries before expiries before rejoins before observations, all
-    /// before contacts).
+    /// queries before expiries before rejoins, all before contacts).
     #[must_use]
     pub fn class(&self) -> EventClass {
         match self {
@@ -92,7 +86,6 @@ impl FreshnessTimer {
             FreshnessTimer::Query(_) => CLASS_QUERY,
             FreshnessTimer::Expiry(_) => CLASS_EXPIRY,
             FreshnessTimer::Rejoin(..) => CLASS_REJOIN,
-            FreshnessTimer::LaggedObs(..) => CLASS_OBS,
         }
     }
 }
@@ -100,8 +93,7 @@ impl FreshnessTimer {
 /// The standalone freshness simulation's event alphabet.
 #[derive(Debug, Clone, Copy)]
 enum FreshnessEvent {
-    /// A participant timer (birth, query, expiry, rejoin, lagged
-    /// observation).
+    /// A participant timer (birth, query, expiry, rejoin).
     Timer(FreshnessTimer),
     /// The `i`-th contact of the trace starts.
     Contact(usize),
@@ -635,11 +627,7 @@ impl FreshnessSimulator {
                     driver.advance(ci, &mut engine, CLASS_CONTACT, FreshnessEvent::Contact);
                     let (a, b) = driver.contact(ci).pair();
                     let fate = driver.fate(ci, ev.time);
-                    if let Some((due, timer)) =
-                        run.on_contact(a, b, fate, ev.time, scheme, driver.plan_mut(), None)
-                    {
-                        engine.schedule_at_class(due, timer.class(), FreshnessEvent::Timer(timer));
-                    }
+                    run.on_contact(a, b, fate, ev.time, scheme, driver.plan_mut(), None);
                 }
             }
         }
@@ -701,7 +689,6 @@ pub struct FreshnessRun<'a> {
     pending_recoveries: Vec<(SimTime, NodeId)>,
     recovery_delays: SampleHistogram,
     extras: Registry,
-    estimator_lag: SimDuration,
     last_contact_start: Option<SimTime>,
     span: SimTime,
     requirement_deadline: SimDuration,
@@ -755,7 +742,6 @@ impl<'a> FreshnessRun<'a> {
 
         let span = driver.span();
         let schedule = UpdateSchedule::periodic(config.refresh_period, span);
-        let estimator_lag = driver.estimator_lag();
         let last_contact_start = driver.last_contact_start();
         let in_contact_range = |t: SimTime| last_contact_start.is_some_and(|last| t <= last);
 
@@ -857,7 +843,6 @@ impl<'a> FreshnessRun<'a> {
             pending_recoveries: Vec::new(),
             recovery_delays: SampleHistogram::new(),
             extras: Registry::new(),
-            estimator_lag,
             last_contact_start,
             span,
             requirement_deadline: config.requirement.deadline,
@@ -957,7 +942,6 @@ impl<'a> FreshnessRun<'a> {
             FreshnessTimer::Query(i) => self.on_query(i),
             FreshnessTimer::Expiry(i) => self.on_expiry(i),
             FreshnessTimer::Rejoin(n, lost) => self.on_rejoin(n, lost, now, scheme, faults),
-            FreshnessTimer::LaggedObs(a, b) => self.rates.record_contact(a, b),
         }
     }
 
@@ -1051,10 +1035,6 @@ impl<'a> FreshnessRun<'a> {
     /// driver assigned it. Refresh transmissions the scheme makes draw on
     /// `budget` when one is given (joint worlds); `None` means unlimited
     /// capacity.
-    ///
-    /// Returns a lagged estimator observation the driving loop must
-    /// schedule, if the fault plan configures an estimator lag.
-    #[must_use = "a returned lagged observation must be scheduled"]
     #[allow(clippy::too_many_arguments)]
     pub fn on_contact(
         &mut self,
@@ -1065,31 +1045,10 @@ impl<'a> FreshnessRun<'a> {
         scheme: &mut dyn RefreshScheme,
         faults: Option<&mut FaultPlan>,
         budget: Option<&mut TransferBudget>,
-    ) -> Option<(SimTime, FreshnessTimer)> {
-        let mut lagged = None;
-        let mut suppressed = false;
-        if fate == ContactFate::Down {
-            // A down endpoint suppresses the contact entirely: no data
-            // transfer, and no radio sighting for the estimators.
-            self.extras.add("down-contacts", 1);
-            suppressed = true;
-        } else {
-            // Rate estimators sight the contact even when it is truncated
-            // for data, possibly after a reporting lag.
-            if self.estimator_lag.is_zero() {
-                self.rates.record_contact(a, b);
-            } else {
-                let due = now + self.estimator_lag;
-                if self.in_contact_range(due) {
-                    lagged = Some((due, FreshnessTimer::LaggedObs(a, b)));
-                }
-            }
-            if fate == ContactFate::Blocked {
-                self.extras.add("blocked-contacts", 1);
-                suppressed = true;
-            }
-        }
-        if !suppressed {
+    ) {
+        let deliverable = fate == ContactFate::Deliverable;
+        if deliverable {
+            self.rates.record_contact(a, b);
             if self.world.has_oracles() {
                 self.world.advance_to(now);
                 self.world.oracle_contact(u64::from(a.0), u64::from(b.0));
@@ -1100,6 +1059,10 @@ impl<'a> FreshnessRun<'a> {
             let mut ctx = self.ctx(now, faults, budget);
             ctx.drain_queued(a, b);
             scheme.on_contact(a, b, &mut ctx);
+        } else {
+            // A down endpoint suppresses the contact entirely: no data
+            // transfer, and no radio sighting for the estimators.
+            self.extras.add("down-contacts", 1);
         }
 
         // Members recover once they again hold the current version.
@@ -1130,7 +1093,7 @@ impl<'a> FreshnessRun<'a> {
 
         // Serve pending queries whose holder meets a caching node — a
         // suppressed contact cannot carry query traffic either.
-        if !suppressed && !self.pending_queries.is_empty() {
+        if deliverable && !self.pending_queries.is_empty() {
             let source = self.source;
             let members = &self.members;
             let member_versions = &self.member_versions;
@@ -1165,7 +1128,6 @@ impl<'a> FreshnessRun<'a> {
                 }
             });
         }
-        lagged
     }
 
     /// Delivers the scheme's finish hook and folds the run into a report.

@@ -175,24 +175,3 @@ fn churn_yields_recovery_metrics() {
     assert!(rejoins > 0, "heavy churn produced no member rejoins");
     assert!(recoveries > 0, "no rejoined member ever recovered");
 }
-
-/// Blocked contacts (contact truncation) are counted and reduce delivery
-/// opportunities without touching the rate estimators' sighting stream.
-#[test]
-fn contact_truncation_is_counted() {
-    let t = trace(46, 20);
-    let sim = FreshnessSimulator::new(FreshnessConfig {
-        faults: Some(FaultConfig {
-            contact_failure: 0.5,
-            ..FaultConfig::default()
-        }),
-        ..config()
-    });
-    let r = sim.run(&t, SchemeChoice::Hierarchical, &RngFactory::new(46));
-    let blocked = r.extras.get("blocked-contacts");
-    assert!(blocked > 0, "50% truncation blocked nothing");
-    assert!(
-        (blocked as usize) < t.len(),
-        "truncation blocked everything"
-    );
-}

@@ -87,7 +87,7 @@ fn zero_query_joint_is_bit_identical_to_standalone_freshness() {
     // Standalone replays: same roles (NCLs minus the item source), same
     // per-item child factory.
     let graph = ContactGraph::from_trace(&trace);
-    let ncls = select_ncls(&graph, &CachingConfig::default().ncl);
+    let ncls = select_ncls(&graph, CachingConfig::default().ncls);
     let fsim = FreshnessSimulator::new(fc);
     for (item_id, joint_report) in &joint.freshness {
         let item = catalog.item(*item_id);

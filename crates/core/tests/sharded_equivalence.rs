@@ -114,7 +114,6 @@ fn assert_bit_identical(label: &str, a: &FreshnessReport, b: &FreshnessReport) {
 fn chaos(seed_bit: bool) -> FaultConfig {
     FaultConfig {
         transmission_loss: 0.2,
-        contact_failure: 0.1,
         crashes: seed_bit.then(|| DowntimeConfig {
             node_fraction: 0.3,
             mean_uptime: SimDuration::from_hours(6.0),

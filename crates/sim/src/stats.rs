@@ -1,9 +1,8 @@
 //! Statistics for reporting simulation results.
 //!
 //! Provides summary statistics ([`Summary`]), empirical CDFs
-//! ([`EmpiricalCdf`]), Welford online accumulation ([`Welford`]), and normal
-//! approximation 95% confidence intervals ([`mean_ci95`]) for averaging
-//! experiment results across seeds.
+//! ([`EmpiricalCdf`]), and normal approximation 95% confidence intervals
+//! ([`mean_ci95`]) for averaging experiment results across seeds.
 
 /// Summary statistics of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,57 +203,6 @@ impl EmpiricalCdf {
     }
 }
 
-/// Welford's online algorithm for mean and variance.
-///
-/// Numerically stable accumulation, useful when samples are too many to
-/// store.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Welford {
-        Welford::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Current mean, or `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.mean)
-    }
-
-    /// Sample variance (n−1 denominator), or `None` for n < 2.
-    #[must_use]
-    pub fn variance(&self) -> Option<f64> {
-        (self.n > 1).then(|| self.m2 / (self.n - 1) as f64)
-    }
-
-    /// Sample standard deviation, or `None` for n < 2.
-    #[must_use]
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,25 +281,5 @@ mod tests {
         assert_eq!(a.ks_distance(&b), 0.0);
         let c = EmpiricalCdf::from_samples(vec![10.0, 20.0, 30.0]);
         assert_eq!(a.ks_distance(&c), 1.0);
-    }
-
-    #[test]
-    fn welford_matches_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        let s = Summary::from_samples(&xs);
-        assert!((w.mean().unwrap() - s.mean).abs() < 1e-12);
-        assert!((w.std_dev().unwrap() - s.std_dev).abs() < 1e-12);
-        assert_eq!(w.count(), 8);
-    }
-
-    #[test]
-    fn welford_empty() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), None);
-        assert_eq!(w.variance(), None);
     }
 }

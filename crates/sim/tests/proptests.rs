@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation substrate.
 
 use omn_sim::metrics::{SampleHistogram, TimeWeightedMean};
-use omn_sim::stats::{mean_ci95, EmpiricalCdf, Summary, Welford};
+use omn_sim::stats::{mean_ci95, EmpiricalCdf, Summary};
 use omn_sim::{Engine, EventClass, EventQueue, RngFactory, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -109,18 +109,6 @@ proptest! {
             prop_assert!(f >= prev - 1e-12);
             prev = f;
         }
-    }
-
-    /// Welford agrees with the direct two-pass computation.
-    #[test]
-    fn welford_agrees(samples in prop::collection::vec(-1e3f64..1e3, 2..300)) {
-        let mut w = Welford::new();
-        for &x in &samples {
-            w.push(x);
-        }
-        let s = Summary::from_samples(&samples);
-        prop_assert!((w.mean().unwrap() - s.mean).abs() < 1e-6);
-        prop_assert!((w.std_dev().unwrap() - s.std_dev).abs() < 1e-6);
     }
 
     /// CI mean matches the arithmetic mean; half-width is non-negative.

@@ -8,7 +8,7 @@
 //! cargo run --release --example trace_analysis
 //! ```
 
-use omn::caching::ncl::{select_ncls, NclConfig};
+use omn::caching::ncl::select_ncls;
 use omn::contacts::io::{read_trace, write_trace};
 use omn::contacts::synth::community::{generate_community, CommunityConfig};
 use omn::contacts::synth::presets::TracePreset;
@@ -52,12 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Centrality and NCL selection on the campus trace.
     println!("\n== central nodes (reality-like) ==");
     let graph = ContactGraph::from_trace(&campus);
-    for metric in [
-        Centrality::Degree,
-        Centrality::WeightedDegree,
-        Centrality::Closeness,
-        Centrality::Betweenness,
-    ] {
+    for metric in [Centrality::Degree, Centrality::Closeness] {
         let top: Vec<String> = graph
             .top_k(metric, 5)
             .into_iter()
@@ -65,14 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect();
         println!("{metric:?}: {}", top.join(", "));
     }
-    let ncls = select_ncls(
-        &graph,
-        &NclConfig::new(4)
-            .metric(Centrality::Closeness)
-            .min_separation(3600.0),
-    );
+    let ncls = select_ncls(&graph, 4);
     println!(
-        "NCLs (closeness, ≥1 h separation): {}",
+        "NCLs (top 4 by closeness): {}",
         ncls.iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()

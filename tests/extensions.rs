@@ -1,8 +1,8 @@
 //! Integration tests for the extension features: temporal oracle bounds
 //! and failure injection, exercised through the public facade.
 
+use omn::contacts::faults::{DepartureConfig, FaultConfig};
 use omn::contacts::temporal;
-use omn::contacts::NodeId;
 use omn::core::freshness::FreshnessRequirement;
 use omn::core::sim::{FreshnessConfig, FreshnessSimulator, SchemeChoice};
 use omn::sim::{RngFactory, SimDuration, SimTime};
@@ -50,24 +50,34 @@ fn oracle_bound_lower_bounds_every_scheme() {
 fn departures_reduce_freshness_monotonically_in_expectation() {
     let factory = RngFactory::new(31);
     let trace = omn::contacts::synth::presets::TracePreset::InfocomLike.generate_small(&factory);
-    let half = SimTime::from_secs(trace.span().as_secs() / 2.0);
-    let sim = FreshnessSimulator::new(FreshnessConfig {
+    let config = FreshnessConfig {
         caching_nodes: 5,
         query_count: 0,
         ..FreshnessConfig::default()
-    });
-    let (source, members) = sim.select_roles(&trace);
+    };
+    let (source, members) = FreshnessSimulator::new(config).select_roles(&trace);
 
-    let freshness_with_departures = |count: usize| {
-        let departed: Vec<NodeId> = trace.nodes().filter(|&n| n != source).take(count).collect();
-        let failed = trace.with_departures(&departed, half);
+    // Half-way through the trace, `fraction` of the non-source nodes leave
+    // for good.
+    let freshness_with_departures = |fraction: f64| {
+        let sim = FreshnessSimulator::new(FreshnessConfig {
+            faults: Some(FaultConfig {
+                departures: Some(DepartureConfig {
+                    fraction,
+                    at_frac: 0.5,
+                    exempt: Some(source),
+                }),
+                ..FaultConfig::default()
+            }),
+            ..config
+        });
         let mut scheme = sim.make_scheme(SchemeChoice::Epidemic);
-        sim.run_with_roles(&failed, source, &members, scheme.as_mut(), &factory)
+        sim.run_with_roles(&trace, source, &members, scheme.as_mut(), &factory)
             .mean_freshness
     };
 
-    let none = freshness_with_departures(0);
-    let heavy = freshness_with_departures(12);
+    let none = freshness_with_departures(0.0);
+    let heavy = freshness_with_departures(0.5);
     assert!(
         heavy <= none + 1e-9,
         "losing half the network cannot help: {heavy} vs {none}"
