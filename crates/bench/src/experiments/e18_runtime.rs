@@ -108,16 +108,24 @@ fn des_config() -> FreshnessConfig {
         refresh_period: period(),
         query_count: 0,
         lifetime: None,
-        // Campaign mode explicitly (not from the environment): the
-        // cross-validation asserts on both oracle reports.
-        oracle_mode: OracleMode::Campaign,
+        oracle_mode: oracle_mode(),
         ..FreshnessConfig::default()
+    }
+}
+
+/// The oracle mode of both executions: strict under `OMN_ORACLE=strict`,
+/// campaign otherwise. Never off: the cross-validation asserts on both
+/// oracle reports.
+fn oracle_mode() -> OracleMode {
+    match OracleMode::from_env() {
+        OracleMode::Strict => OracleMode::Strict,
+        OracleMode::Campaign | OracleMode::Off => OracleMode::Campaign,
     }
 }
 
 fn runtime_config(mode: ProtocolMode) -> RuntimeConfig {
     RuntimeConfig {
-        oracle_mode: OracleMode::Campaign,
+        oracle_mode: oracle_mode(),
         ..RuntimeConfig::new(mode, period())
     }
 }
@@ -256,7 +264,7 @@ pub fn throughput_point(nodes: usize, seed: u64) -> FirehoseReport {
 ///
 /// Panics if any cross-validation point diverges from the DES in any
 /// pinned observable, if either side records an invariant violation, or
-/// if the firehose runs drop or fail to decode any wire frame.
+/// if the firehose runs drop or fail to decode any wire frame or byte.
 pub fn run(plan: &CampaignPlan) {
     let params = &Params::from_plan(plan);
     banner(
@@ -341,6 +349,10 @@ fn run_firehose_leg(params: &Params, show_wall: bool) {
         assert_eq!(
             report.messages_received, report.messages_sent,
             "{nodes} nodes: the quiesce rounds must drain every in-flight frame"
+        );
+        assert_eq!(
+            report.bytes_received, report.bytes_sent,
+            "{nodes} nodes: bytes sent but not decoded"
         );
         assert_eq!(
             report.decode_errors, 0,

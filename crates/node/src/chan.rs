@@ -2,16 +2,17 @@
 //! tasks (futures polled by [`rt::Executor`](crate::rt::Executor)) and
 //! plain threads (the blocking link supervisor).
 //!
-//! The capacity bounds every node's inbox, so a runtime with 10⁴ node
-//! tasks has O(nodes × capacity) worst-case buffering, not unbounded
-//! growth. That bound is loose in practice: at 10⁴ nodes × 1024 slots it
-//! is about 10⁷ queued dispatches, and the firehose supervisor, which
-//! dispatches link-ups faster than a single executor worker absorbs them,
-//! really does run that far ahead — the queued backlog is the firehose's
-//! peak memory. Senders block (or return `Pending`) when the queue is
-//! full; receivers when it is empty. Closure is bidirectional: dropping
-//! the receiver fails subsequent sends, dropping the last sender drains
-//! the receiver to `None`.
+//! Each channel carries two lanes. The item queue is bounded by the
+//! channel's capacity: senders block (or return `Pending`) when it is
+//! full, receivers when it is empty. The byte lane is one `Vec<u8>` that
+//! [`Sender::append`] writes into under the channel's mutex, past any
+//! bound, and that [`Receiver::recv_batch`] takes whole, together with
+//! the next queued item. The node runtime carries peer wire frames in the
+//! byte lane and the supervisor's dispatches in the bounded queue, so a
+//! runtime with 10⁴ node tasks buffers at most nodes × capacity
+//! dispatches. Closure is bidirectional: dropping the receiver fails
+//! subsequent sends, dropping the last sender drains the receiver to
+//! `None`.
 //!
 //! # Wakeups
 //!
@@ -20,10 +21,11 @@
 //! waits, so the channel notifies one only when a thread is parked on it:
 //! `recv_blocking` and `send_blocking` count themselves into the state
 //! (under the mutex, before `wait`) and out again after it, and every
-//! push, pop and close checks that count under the same mutex. A waiter
-//! that has not counted itself in yet has not checked its condition yet
-//! either, so it sees the new state without a notify. Only the last
-//! `Sender` drop closes the channel, so only that one wakes anybody.
+//! push, append, pop and close checks that count under the same mutex. A
+//! waiter that has not counted itself in yet has not checked its
+//! condition yet either, so it sees the new state without a notify. Only
+//! the last `Sender` drop closes the channel, so only that one wakes
+//! anybody.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -45,6 +47,13 @@ impl std::error::Error for Closed {}
 
 struct State<T> {
     queue: VecDeque<T>,
+    /// The byte lane: appended to past the capacity bound, taken whole
+    /// by [`Receiver::recv_batch`].
+    lane: Vec<u8>,
+    /// The length of the last batch taken from the lane: the first
+    /// allocation of the next, so a lane that batches many frames grows
+    /// once instead of once per doubling.
+    lane_hint: usize,
     capacity: usize,
     senders: usize,
     receiver_alive: bool,
@@ -111,6 +120,8 @@ pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             queue: VecDeque::new(),
+            lane: Vec::new(),
+            lane_hint: 0,
             capacity: capacity.max(1),
             senders: 1,
             receiver_alive: true,
@@ -171,19 +182,27 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Enqueues immediately, ignoring the capacity bound. Node tasks use
-    /// this lane for peer-to-peer wire frames: a task that blocked on a
-    /// peer's full inbox while its own inbox is full would deadlock any
-    /// cyclic traffic pattern, so peer traffic trades strict boundedness
-    /// for liveness (it stays transitively bounded because the
-    /// supervisor's dispatch lane *is* capacity-bounded). Fails if the
-    /// receiver has been dropped.
-    pub fn send_relaxed(&self, value: T) -> Result<(), Closed> {
+    /// Appends to the receiver's byte lane: `write` extends the lane's
+    /// buffer in place, under the channel's mutex, whatever the capacity.
+    /// Node tasks carry peer-to-peer wire frames this way: a task that
+    /// blocked on a peer's full inbox while its own inbox is full would
+    /// deadlock any cyclic traffic pattern, so peer traffic trades strict
+    /// boundedness for liveness (it stays transitively bounded because
+    /// the supervisor's dispatch queue *is* capacity-bounded). `write`
+    /// runs under the lock, so it must not block; if it panics, the
+    /// bytes it already appended stay in the lane for the receiver to
+    /// reject. Fails, without calling `write`, if the receiver has been
+    /// dropped.
+    pub fn append(&self, write: impl FnOnce(&mut Vec<u8>)) -> Result<(), Closed> {
         let mut state = self.shared.lock();
         if !state.receiver_alive {
             return Err(Closed);
         }
-        state.queue.push_back(value);
+        if state.lane.capacity() == 0 {
+            let hint = state.lane_hint;
+            state.lane.reserve(hint);
+        }
+        write(&mut state.lane);
         self.shared.wake_receiver(state);
         Ok(())
     }
@@ -275,16 +294,21 @@ impl<T> Drop for Receiver<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Receives the next item, waiting asynchronously; `None` once every
-    /// sender has dropped and the queue is drained.
-    pub fn recv(&mut self) -> RecvFuture<'_, T> {
-        RecvFuture {
+    /// Receives the byte lane's whole buffer and the next queued item,
+    /// taken in one critical section and waiting asynchronously while
+    /// both are empty; `None` once every sender has dropped and both are
+    /// drained. Every byte appended before the item was queued is in the
+    /// batch or an earlier one, so a receiver that handles `bytes` before
+    /// `item` sees the two lanes in FIFO order.
+    pub fn recv_batch(&mut self) -> RecvBatch<'_, T> {
+        RecvBatch {
             shared: &self.shared,
         }
     }
 
     /// Receives from a plain thread, blocking while the queue is empty;
     /// `None` once every sender has dropped and the queue is drained.
+    /// Leaves the byte lane alone.
     pub fn recv_blocking(&mut self) -> Option<T> {
         let mut state = self.shared.lock();
         loop {
@@ -314,31 +338,50 @@ impl<T> Receiver<T> {
     }
 }
 
-/// Future returned by [`Receiver::recv`].
-pub struct RecvFuture<'a, T> {
+/// What one [`Receiver::recv_batch`] hands over: the byte lane's
+/// contents, to be handled before `item`.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Batch<T> {
+    /// Every byte appended since the previous batch (possibly none).
+    pub bytes: Vec<u8>,
+    /// The next queued item, if any.
+    pub item: Option<T>,
+}
+
+/// Future returned by [`Receiver::recv_batch`].
+pub struct RecvBatch<'a, T> {
     shared: &'a Shared<T>,
 }
 
-impl<T> std::fmt::Debug for RecvFuture<'_, T> {
+impl<T> std::fmt::Debug for RecvBatch<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecvFuture").finish_non_exhaustive()
+        f.debug_struct("RecvBatch").finish_non_exhaustive()
     }
 }
 
-impl<T> Future for RecvFuture<'_, T> {
-    type Output = Option<T>;
+impl<T> Future for RecvBatch<'_, T> {
+    type Output = Option<Batch<T>>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut state = self.shared.lock();
-        if let Some(v) = state.queue.pop_front() {
+        let item = state.queue.pop_front();
+        if item.is_none() && state.lane.is_empty() {
+            if state.senders == 0 {
+                return Poll::Ready(None);
+            }
+            state.recv_waker = Some(cx.waker().clone());
+            return Poll::Pending;
+        }
+        // Taken, not swapped: the receiver frees the buffer once it has
+        // decoded it, so an idle inbox holds no lane allocation.
+        let bytes = std::mem::take(&mut state.lane);
+        if !bytes.is_empty() {
+            state.lane_hint = bytes.len();
+        }
+        if item.is_some() {
             self.shared.wake_senders(state);
-            return Poll::Ready(Some(v));
         }
-        if state.senders == 0 {
-            return Poll::Ready(None);
-        }
-        state.recv_waker = Some(cx.waker().clone());
-        Poll::Pending
+        Poll::Ready(Some(Batch { bytes, item }))
     }
 }
 
@@ -428,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn parked_recv_blocking_wakes_on_relaxed_and_async_sends() {
+    fn parked_recv_blocking_wakes_on_blocking_and_async_sends() {
         let (tx, mut rx) = channel::<u64>(4);
         let shared = Arc::clone(&tx.shared);
         let done = on_thread(move || {
@@ -437,12 +480,108 @@ mod tests {
             (a, b)
         });
         await_parked(&shared, |s| s.recv_parked > 0);
-        tx.send_relaxed(1).unwrap();
+        tx.send_blocking(1).unwrap();
         // An empty queue means the receiver took the first item, so a
         // parked count is its second wait.
         await_parked(&shared, |s| s.queue.is_empty() && s.recv_parked > 0);
         assert_eq!(poll_once(&mut tx.send(2)), Poll::Ready(Ok(())));
         assert_eq!(finish(&done), (Some(1), Some(2)));
+    }
+
+    #[test]
+    fn lane_bytes_appended_before_an_item_arrive_with_it_or_earlier() {
+        let (tx, mut rx) = channel::<u64>(4);
+        let append = |bytes: &[u8]| tx.append(|lane| lane.extend_from_slice(bytes)).unwrap();
+        append(&[1, 2]);
+        tx.send_blocking(10).unwrap();
+        append(&[3]);
+        // One critical section takes the lane and the item: bytes that
+        // followed the item may ride along, none that preceded it is left.
+        let batch = |bytes: &[u8], item| {
+            Poll::Ready(Some(Batch {
+                bytes: bytes.to_vec(),
+                item,
+            }))
+        };
+        assert_eq!(poll_once(&mut rx.recv_batch()), batch(&[1, 2, 3], Some(10)));
+        append(&[4]);
+        tx.send_blocking(11).unwrap();
+        tx.send_blocking(12).unwrap();
+        assert_eq!(poll_once(&mut rx.recv_batch()), batch(&[4], Some(11)));
+        assert_eq!(poll_once(&mut rx.recv_batch()), batch(&[], Some(12)));
+        // Bytes alone make a batch; so does an item alone.
+        append(&[5]);
+        assert_eq!(poll_once(&mut rx.recv_batch()), batch(&[5], None));
+        tx.send_blocking(13).unwrap();
+        assert_eq!(poll_once(&mut rx.recv_batch()), batch(&[], Some(13)));
+        assert_eq!(rx.try_recv(), None);
+    }
+
+    #[test]
+    fn lane_append_wakes_a_pending_async_recv() {
+        struct Count(std::sync::atomic::AtomicUsize);
+        impl std::task::Wake for Count {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+        let (tx, mut rx) = channel::<u64>(1);
+        let count = Arc::new(Count(std::sync::atomic::AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&count));
+        let mut fut = rx.recv_batch();
+        let mut cx = Context::from_waker(&waker);
+        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
+        tx.append(|lane| lane.push(7)).unwrap();
+        assert_eq!(count.0.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert_eq!(
+            Pin::new(&mut fut).poll(&mut cx),
+            Poll::Ready(Some(Batch {
+                bytes: vec![7],
+                item: None,
+            }))
+        );
+    }
+
+    #[test]
+    fn bytes_queued_before_the_last_sender_drops_arrive_before_none() {
+        let (tx, mut rx) = channel::<u64>(2);
+        let tx2 = tx.clone();
+        tx.append(|lane| lane.extend_from_slice(&[1, 2])).unwrap();
+        tx.send_blocking(3).unwrap();
+        tx2.append(|lane| lane.push(4)).unwrap();
+        drop(tx);
+        drop(tx2);
+        assert_eq!(
+            poll_once(&mut rx.recv_batch()),
+            Poll::Ready(Some(Batch {
+                bytes: vec![1, 2, 4],
+                item: Some(3),
+            }))
+        );
+        assert_eq!(poll_once(&mut rx.recv_batch()), Poll::Ready(None));
+    }
+
+    #[test]
+    fn an_empty_lane_first_reserves_the_last_batch_length() {
+        let (tx, mut rx) = channel::<u64>(1);
+        tx.append(|lane| lane.extend_from_slice(&[0; 300])).unwrap();
+        let Poll::Ready(Some(batch)) = poll_once(&mut rx.recv_batch()) else {
+            panic!("the lane held bytes");
+        };
+        assert_eq!(batch.bytes.len(), 300);
+        tx.append(|lane| {
+            assert!(lane.is_empty(), "the batch took the buffer");
+            assert!(lane.capacity() >= 300, "sized by the last batch");
+            lane.push(1);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn append_fails_after_receiver_drop() {
+        let (tx, rx) = channel::<u64>(1);
+        drop(rx);
+        assert_eq!(tx.append(|_| panic!("wrote to a dead lane")), Err(Closed));
     }
 
     #[test]
@@ -455,7 +594,11 @@ mod tests {
             tx.send_blocking(2).unwrap();
         });
         await_parked(&shared, |s| s.send_parked > 0);
-        assert_eq!(poll_once(&mut rx.recv()), Poll::Ready(Some(0)));
+        let batch = Batch {
+            bytes: Vec::new(),
+            item: Some(0),
+        };
+        assert_eq!(poll_once(&mut rx.recv_batch()), Poll::Ready(Some(batch)));
         // The woken sender fills the slot and parks again on its next send.
         await_parked(&shared, |s| {
             s.queue.front() == Some(&1) && s.send_parked > 0

@@ -66,13 +66,27 @@ impl From<WireError> for CodecError {
 /// sized exactly to the frame, is the only allocation.
 #[must_use]
 pub fn encode(seq: u64, from: NodeId, to: NodeId, at: SimTime, msg: &ProtocolMsg) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(seq, from, to, at, msg, &mut out);
+    out
+}
+
+/// Appends the frame [`encode`] builds to `buf`: the same bytes, with
+/// `buf` grown at most once (amortized, so a buffer of back-to-back frames
+/// reallocates O(log n) times).
+pub fn encode_into(
+    seq: u64,
+    from: NodeId,
+    to: NodeId,
+    at: SimTime,
+    msg: &ProtocolMsg,
+    buf: &mut Vec<u8>,
+) {
     let payload = Payload::new(msg);
     let payload = payload.as_slice();
     let size = payload.len().max(1) as u64;
     let message = Message::new(MessageId(seq), from, to, size, at, None);
-    let mut out = Vec::new();
-    Frame::encode_parts(&message, payload, &mut out);
-    out
+    Frame::encode_parts(&message, payload, buf);
 }
 
 /// Decodes one whole frame: the sender, the simulated send instant, and
@@ -84,6 +98,43 @@ pub fn decode(bytes: &[u8]) -> Result<(NodeId, SimTime, ProtocolMsg), CodecError
     }
     let msg = decode_payload(payload)?;
     Ok((message.src(), message.created(), msg))
+}
+
+/// Decodes back-to-back frames front to back, as [`encode_into`] appends
+/// them. Allocates nothing.
+pub fn decode_stream(bytes: &[u8]) -> Frames<'_> {
+    Frames { rest: bytes }
+}
+
+/// Iterator returned by [`decode_stream`]. Each item is one frame's
+/// encoded length, sender, simulated send instant and message. The first
+/// error is the last item: a stream cannot be resynchronized past a bad
+/// frame, and a cut tail is [`CodecError::Truncated`].
+#[derive(Debug)]
+pub struct Frames<'a> {
+    rest: &'a [u8],
+}
+
+impl Iterator for Frames<'_> {
+    type Item = Result<(usize, NodeId, SimTime, ProtocolMsg), CodecError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let frame = Frame::decode_parts(self.rest)
+            .map_err(CodecError::from)
+            .and_then(|parts| parts.ok_or(CodecError::Truncated))
+            .and_then(|(message, payload, used)| {
+                let msg = decode_payload(payload)?;
+                Ok((used, message.src(), message.created(), msg))
+            });
+        self.rest = match frame {
+            Ok((used, ..)) => &self.rest[used..],
+            Err(_) => &[],
+        };
+        Some(frame)
+    }
 }
 
 /// Decodes the protocol payload of an already-parsed frame (for
@@ -243,7 +294,10 @@ mod tests {
     }
 
     /// The exact bytes of four frames, pinned; each also equals the frame
-    /// that `Frame::new(..).to_bytes()` builds from the same parts.
+    /// that `Frame::new(..).to_bytes()` builds from the same parts, and
+    /// `encode_into` appends the same bytes. Back to back, the four decode
+    /// in order with their exact lengths, and a cut tail is a typed error
+    /// that ends the stream.
     #[test]
     fn wire_bytes_are_pinned() {
         let cases = [
@@ -286,6 +340,8 @@ mod tests {
             ),
         ];
         let at = SimTime::from_secs(30.5);
+        let mut lane = Vec::new();
+        let mut expected = Vec::new();
         for (seq, (msg, pinned)) in (7..).zip(cases) {
             let bytes = encode(seq, n(3), n(4), at, &msg);
             let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
@@ -298,7 +354,40 @@ mod tests {
                 bytes.len(),
                 "{msg:?}: one exact allocation"
             );
+            let mut buf = vec![0xAB];
+            encode_into(seq, n(3), n(4), at, &msg, &mut buf);
+            assert_eq!(buf[0], 0xAB, "{msg:?}: encode_into keeps what was there");
+            assert_eq!(
+                buf[1..],
+                bytes[..],
+                "{msg:?}: encode_into appends encode's bytes"
+            );
+            encode_into(seq, n(3), n(4), at, &msg, &mut lane);
+            expected.push(Ok((pinned.len() / 2, n(3), at, msg)));
         }
+        assert_eq!(decode_stream(&lane).collect::<Vec<_>>(), expected);
+        assert_eq!(decode_stream(&[]).count(), 0);
+        let mut cut = decode_stream(&lane[..lane.len() - 1]);
+        assert_eq!(cut.by_ref().take(3).collect::<Vec<_>>(), expected[..3]);
+        assert_eq!(cut.next(), Some(Err(CodecError::Truncated)));
+        assert_eq!(cut.next(), None);
+    }
+
+    #[test]
+    fn stream_stops_at_the_first_bad_frame() {
+        let msg = ProtocolMsg::Refresh { version: 1 };
+        let mut lane = Vec::new();
+        for seq in 0..3 {
+            encode_into(seq, n(1), n(2), SimTime::ZERO, &msg, &mut lane);
+        }
+        let frame_len = lane.len() / 3;
+        // Corrupt the second frame's payload tag (its last 9 bytes are
+        // tag + version): the third, intact frame is dropped with it.
+        lane[2 * frame_len - 9] = 0xEE;
+        let decoded: Vec<_> = decode_stream(&lane).collect();
+        assert_eq!(decoded.len(), 2);
+        assert!(decoded[0].is_ok());
+        assert_eq!(decoded[1], Err(CodecError::UnknownTag(0xEE)));
     }
 
     #[test]

@@ -20,12 +20,14 @@ pub struct NodeReport {
     pub bytes_sent: u64,
     /// Wire frames this node received and decoded.
     pub msgs_received: u64,
-    /// Encoded bytes this node received (undecodable frames included —
-    /// their bytes crossed the link).
+    /// Encoded bytes of the frames this node decoded. A malformed frame
+    /// and the rest of its batch are not counted, so on a run with a
+    /// decode error this falls short of the bytes sent.
     pub bytes_received: u64,
     /// Relay copies this node handed out.
     pub replicas_created: u64,
-    /// Received frames that failed to decode (dropped, never panicked).
+    /// Received batches cut short by a frame that failed to decode (the
+    /// rest of the batch is dropped, never panicked on).
     pub decode_errors: u64,
     /// Exact integral counters (`Effect::Count`), by name.
     pub counts: Vec<(&'static str, u64)>,
@@ -70,7 +72,7 @@ pub struct RuntimeReport {
     /// runtime's ground-truth measure of what a bandwidth-limited link
     /// would have to carry.
     pub bytes_sent: u64,
-    /// Received frames dropped as undecodable.
+    /// Received batches cut short by an undecodable frame.
     pub decode_errors: u64,
     /// Supervisor-side channel failures: a node task died or a handshake
     /// ack went missing, aborting the replay. 0 on a healthy run.
@@ -95,7 +97,10 @@ pub struct FirehoseReport {
     pub messages_received: u64,
     /// Encoded bytes put on the wire across all nodes.
     pub bytes_sent: u64,
-    /// Received frames dropped as undecodable.
+    /// Encoded bytes decoded across all nodes: equal to `bytes_sent` when
+    /// every frame arrived intact.
+    pub bytes_received: u64,
+    /// Received batches cut short by an undecodable frame.
     pub decode_errors: u64,
     /// Supervisor-side channel failures (dead node tasks, lost acks).
     /// 0 on a healthy run.

@@ -265,8 +265,8 @@ mod tests {
         exec.spawn(async move {
             let mut sum = 0;
             let mut rx = rx;
-            while let Some(v) = rx.recv().await {
-                sum += v;
+            while let Some(batch) = rx.recv_batch().await {
+                sum += batch.item.unwrap_or(0);
             }
             done_tx.send(sum).unwrap();
         });

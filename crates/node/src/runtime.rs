@@ -16,10 +16,14 @@
 //!   supervisor probing) and the network runs free; the report is message
 //!   totals and wall clock, for the 10⁴-node scaling figure.
 //!
-//! The lockstep handshake relies on channel FIFO order: after a
-//! directional pass `x → y` acks, a `Flush` sent to `y` necessarily
-//! follows any wire frame `x` queued to `y`, so `y`'s `FlushDone`
-//! certifies the frame was absorbed and its events drained.
+//! Peer wire frames travel in each inbox's byte lane: the sender encodes
+//! the frame straight into the receiver's buffer, and the receiving task
+//! takes the whole buffer and decodes its frames in order before the
+//! control message it took with them. The lockstep handshake relies on
+//! that order: after a directional pass `x → y` acks, a `Flush` sent to
+//! `y` is taken together with (or after) any wire frame `x` appended to
+//! `y`'s lane, so `y`'s `FlushDone` certifies the frame was absorbed and
+//! its events drained.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -33,7 +37,7 @@ use omn_core::{RefreshHierarchy, UpdateSchedule};
 use omn_sim::metrics::Registry;
 use omn_sim::{OracleMode, OracleObs, OracleSink, SimDuration, SimTime, SimWorld};
 
-use crate::chan::{self, Receiver, Sender};
+use crate::chan::{self, Batch, Receiver, Sender};
 use crate::codec;
 use crate::report::{FirehoseReport, NodeReport, RuntimeReport};
 use crate::rt::Executor;
@@ -49,9 +53,11 @@ pub struct RuntimeConfig {
     pub oracle_mode: OracleMode,
     /// Executor worker threads (0 = available parallelism).
     pub workers: usize,
-    /// Per-node inbox capacity: backpressure on the supervisor's
-    /// dispatch lane (peer wire frames ride the relaxed lane, so the
-    /// driver can never outrun the network without wedging it).
+    /// Per-node inbox capacity: how many supervisor dispatches one inbox
+    /// queues before the supervisor blocks on it. It bounds the
+    /// supervisor's lead over the node tasks, and so the runtime's queued
+    /// memory; peer wire frames ride the byte lane, outside the bound, so
+    /// the network never wedges on it.
     pub inbox_capacity: usize,
 }
 
@@ -64,7 +70,7 @@ impl RuntimeConfig {
             refresh_period,
             oracle_mode: OracleMode::from_env(),
             workers: 0,
-            inbox_capacity: 1024,
+            inbox_capacity: 64,
         }
     }
 }
@@ -99,9 +105,9 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Everything a node task can be told. Kept small (24 bytes): the
-/// firehose supervisor runs far ahead of the workers, so queued
-/// `NodeMsg`s are most of its peak memory.
+/// Everything the supervisor can tell a node task (peer wire frames go
+/// through the inbox's byte lane instead). Kept small (24 bytes): every
+/// inbox queues up to `inbox_capacity` of them.
 enum NodeMsg {
     /// Lockstep: report your [`PeerSummary`] (acked with
     /// [`Ack::Summary`]).
@@ -111,9 +117,6 @@ enum NodeMsg {
     LinkUp { t: SimTime, peer: Box<PeerSummary> },
     /// Firehose: a link to `peer` came up; wire-send it your summary.
     Announce { t: SimTime, peer: NodeId },
-    /// A serialized frame from another node; effects it provokes go back
-    /// to the frame's sender.
-    Wire(Box<[u8]>),
     /// A timer this node asked for (or the supervisor drives) fired.
     Timer { t: SimTime, kind: TimerKind },
     /// Processed strictly after everything already queued; acked with
@@ -170,7 +173,10 @@ impl NodeTask {
     async fn run(mut self) {
         let effects = self.proto.on_start();
         self.apply(SimTime::ZERO, effects, None).await;
-        while let Some(msg) = self.inbox.recv().await {
+        while let Some(Batch { bytes, item }) = self.inbox.recv_batch().await {
+            self.absorb(&bytes).await;
+            drop(bytes);
+            let Some(msg) = item else { continue };
             match msg {
                 NodeMsg::Probe => {
                     let _ = self.acks.send(Ack::Summary(self.proto.summary())).await;
@@ -183,17 +189,6 @@ impl NodeTask {
                 NodeMsg::Announce { t, peer } => {
                     let msg = ProtocolMsg::Summary(self.proto.summary());
                     self.wire_send(t, peer, &msg);
-                }
-                NodeMsg::Wire(bytes) => {
-                    self.received += 1;
-                    self.bytes_received += bytes.len() as u64;
-                    match codec::decode(&bytes) {
-                        Ok((from, t, msg)) => {
-                            let effects = self.proto.on_message(t, from, &msg);
-                            self.apply(t, effects, Some(from)).await;
-                        }
-                        Err(_) => self.decode_errors += 1,
-                    }
                 }
                 NodeMsg::Timer { t, kind } => {
                     let effects = self.proto.on_timer(t, kind);
@@ -222,6 +217,23 @@ impl NodeTask {
                     break;
                 }
             }
+        }
+    }
+
+    /// Handles the wire frames in `lane`, in order; effects a frame
+    /// provokes go back to its sender. A malformed frame counts one decode
+    /// error and ends the batch, since the frames behind it cannot be
+    /// delimited.
+    async fn absorb(&mut self, lane: &[u8]) {
+        for frame in codec::decode_stream(lane) {
+            let Ok((len, from, t, msg)) = frame else {
+                self.decode_errors += 1;
+                continue;
+            };
+            self.received += 1;
+            self.bytes_received += len as u64;
+            let effects = self.proto.on_message(t, from, &msg);
+            self.apply(t, effects, Some(from)).await;
         }
     }
 
@@ -280,16 +292,21 @@ impl NodeTask {
             bump(&mut self.counts, "send-effect-without-link", 1);
             return;
         };
-        let bytes = codec::encode(self.seq, self.proto.id(), to, t, msg).into_boxed_slice();
+        let (seq, from) = (self.seq, self.proto.id());
         self.seq += 1;
         self.sent += 1;
-        self.bytes_sent += bytes.len() as u64;
-        // The relaxed lane keeps the wait-for graph acyclic: a node never
+        // The byte lane keeps the wait-for graph acyclic: a node never
         // blocks on a peer's inbox while its own inbox backs up (two nodes
         // wiring frames at each other through full bounded inboxes would
         // deadlock). Boundedness comes from the supervisor's dispatch
-        // lane, which *does* block on capacity.
-        let _ = tx.send_relaxed(NodeMsg::Wire(bytes));
+        // queue, which *does* block on capacity.
+        let mut len = 0;
+        let _ = tx.append(|lane| {
+            let at = lane.len();
+            codec::encode_into(seq, from, to, t, msg, lane);
+            len = lane.len() - at;
+        });
+        self.bytes_sent += len as u64;
     }
 }
 
@@ -823,6 +840,7 @@ pub fn run_firehose<S: ContactSource>(
     let mut messages_sent = 0;
     let mut messages_received = 0;
     let mut bytes_sent = 0;
+    let mut bytes_received = 0;
     let mut decode_errors = 0;
     let mut done = 0usize;
     while done < expected {
@@ -831,6 +849,7 @@ pub fn run_firehose<S: ContactSource>(
                 messages_sent += r.msgs_sent;
                 messages_received += r.msgs_received;
                 bytes_sent += r.bytes_sent;
+                bytes_received += r.bytes_received;
                 decode_errors += r.decode_errors;
                 done += 1;
             }
@@ -851,6 +870,7 @@ pub fn run_firehose<S: ContactSource>(
         messages_sent,
         messages_received,
         bytes_sent,
+        bytes_received,
         decode_errors,
         channel_errors,
         elapsed,

@@ -188,6 +188,10 @@ fn firehose_mode_delivers_every_frame_and_measures_throughput() {
         report.messages_received, report.messages_sent,
         "the quiesce rounds must drain every in-flight frame"
     );
+    assert_eq!(
+        report.bytes_received, report.bytes_sent,
+        "every byte sent must arrive and decode"
+    );
     assert_eq!(report.decode_errors, 0);
     assert_eq!(report.channel_errors, 0);
 }
@@ -211,6 +215,10 @@ fn firehose_survives_single_slot_inboxes() {
         assert_eq!(
             report.messages_received, report.messages_sent,
             "workers {workers}: frames sent but not received"
+        );
+        assert_eq!(
+            report.bytes_received, report.bytes_sent,
+            "workers {workers}: bytes sent but not decoded"
         );
         assert_eq!(report.decode_errors, 0, "workers {workers}");
         assert_eq!(report.channel_errors, 0, "workers {workers}");
