@@ -6,7 +6,7 @@
 //! [`ShardedCommunitySource`] generates contacts shard-by-shard with
 //! O(shards) resident state, and the
 //! [`ContactDriver`](omn_contacts::ContactDriver) pulls them one
-//! event at a time, keeping only a bounded residency window. The headline
+//! contact at a time, keeping only a bounded residency window. The headline
 //! claim — checked by the golden test and printed per row — is that the
 //! peak number of resident contacts stays **sublinear** in the number of
 //! contacts pulled, so memory no longer scales with trace length.

@@ -17,11 +17,12 @@
 //!
 //! [`CachingRun`] holds the layer's state and handlers; the joint world
 //! (`omn_core::joint::JointSimulator`) drives it on the shared `omn-sim`
-//! event kernel, pulling contacts from a [`ContactDriver`] one event at a
-//! time. Query issues and deadlines are [`CachingTimer`]s, and deadlines
-//! are ordered *after* contacts at the same instant (a query is still
-//! servable at a contact exactly at its deadline). Under fault injection,
-//! churn suppresses contacts and transmission loss fails individual hops.
+//! event kernel, merging its timers with the contacts it pulls from a
+//! [`ContactDriver`]. Query issues and deadlines are [`CachingTimer`]s,
+//! and deadlines are ordered *after* contacts at the same instant (a query
+//! is still servable at a contact exactly at its deadline). Under fault
+//! injection, churn suppresses contacts and transmission loss fails
+//! individual hops.
 
 use omn_contacts::{ContactDriver, ContactGraph, ContactSource, NodeId, TransferOutcome};
 use omn_sim::metrics::{Registry, SampleHistogram};
@@ -305,7 +306,7 @@ pub struct CachingRun<'a> {
 impl<'a> CachingRun<'a> {
     /// Builds a participant plus the initial timers its driving loop must
     /// schedule (the query issues — deadline timers are returned by
-    /// [`CachingRun::on_timer`], and contact events come from the caller's
+    /// [`CachingRun::on_timer`], and contacts come from the caller's
     /// shared [`ContactDriver`]). Each timer goes into the class
     /// [`CachingTimer::class`] reports.
     ///

@@ -4,28 +4,21 @@
 //! Before this module existed, each simulator in the workspace hand-rolled
 //! its own `for contact in trace.contacts()` loop, and only the freshness
 //! simulator consulted the [`FaultPlan`](crate::faults::FaultPlan). The
-//! [`ContactDriver`] centralizes that logic: it feeds contacts from a
-//! [`ContactSource`] into an [`Engine`](omn_sim::Engine) and classifies each
-//! contact's *fate* — deliverable, or suppressed by node downtime — so every
-//! simulator applies churn, departures, and transmission loss with
-//! identical semantics.
+//! [`ContactDriver`] centralizes that logic: it hands out contacts from a
+//! [`ContactSource`] in stream order and classifies each contact's *fate*
+//! — deliverable, or suppressed by node downtime — so every simulator
+//! applies churn, departures, and transmission loss with identical
+//! semantics.
 //!
-//! Two feeding modes exist:
-//!
-//! * **Pull** ([`begin`](ContactDriver::begin) +
-//!   [`advance`](ContactDriver::advance)) — the driver schedules only the
-//!   next upcoming contact; each contact handler calls `advance` to evict
-//!   consumed contacts and pull/schedule the next one. At most two contacts
-//!   are resident in the driver at any instant, so memory scales with the
-//!   source's internal state (O(shards) for the sharded generator), not
-//!   with the total contact count. Because the source yields contacts in
-//!   nondecreasing start order and contact events share one
-//!   [`EventClass`](omn_sim::EventClass), the event interleaving — and
-//!   therefore every simulation result — is bit-identical to priming.
-//! * **Prime** ([`prime`](ContactDriver::prime)) — the classic mode: drain
-//!   the whole source up front and schedule one event per contact. Kept for
-//!   the explicit pull≡prime equivalence tests and for callers that need
-//!   random access to contacts.
+//! The feed is an ordered pull: [`peek_start`](ContactDriver::peek_start)
+//! pulls the next contact and reports its start, and
+//! [`next_contact`](ContactDriver::next_contact) hands it out. A
+//! simulation loop merges this stream with its event engine's timers by
+//! comparing the peeked start against the next timer, so contacts never
+//! enter the engine's heap. At most two contacts are resident in the driver
+//! at any instant (the one being handled and the peeked next one), so
+//! memory scales with the source's internal state (O(shards) for the
+//! sharded generator), not with the total contact count.
 //!
 //! The driver lives in `omn-contacts` rather than `omn-sim` because it is
 //! the contact-shaped half of the substrate: `omn-sim` owns the generic
@@ -33,9 +26,7 @@
 //! [`SimWorld`](omn_sim::SimWorld)) and knows nothing about [`Contact`]s or fault
 //! plans, while this crate owns both.
 
-use std::collections::VecDeque;
-
-use omn_sim::{Engine, EventClass, RngFactory, SimTime, TransferBudget};
+use omn_sim::{RngFactory, SimTime, TransferBudget};
 
 use crate::faults::{FaultConfig, FaultPlan, Rejoin};
 use crate::source::{ContactSource, LastContact, TraceSource};
@@ -76,14 +67,13 @@ pub enum TransferOutcome {
     ByteDenied,
 }
 
-/// An ordered, fault-filtered contact feed for an [`Engine`].
+/// An ordered, fault-filtered contact feed.
 ///
 /// Construct one per run with [`ContactDriver::new`] (over a materialized
-/// trace) or [`ContactDriver::from_source`] (over any stream), feed the
-/// engine with [`begin`](ContactDriver::begin)/
-/// [`advance`](ContactDriver::advance) (pull mode) or
-/// [`prime`](ContactDriver::prime) (drain up front), then query
-/// [`ContactDriver::fate`] as each contact event fires and
+/// trace) or [`ContactDriver::from_source`] (over any stream), pull
+/// contacts in stream order with [`peek_start`](ContactDriver::peek_start)
+/// and [`next_contact`](ContactDriver::next_contact), then query
+/// [`ContactDriver::fate`] for each contact handed out and
 /// [`ContactDriver::transfer_fails`] per attempted data transfer.
 ///
 /// A driver built with `faults: None` performs no fault bookkeeping and
@@ -93,16 +83,14 @@ pub enum TransferOutcome {
 pub struct ContactDriver<S> {
     source: S,
     plan: Option<FaultPlan>,
-    /// Contacts pulled from the source and not yet evicted; entry `k` is the
-    /// contact with stream index `base + k`.
-    resident: VecDeque<Contact>,
-    /// Stream index of `resident.front()`.
-    base: usize,
-    /// Total contacts pulled from the source so far (`base +
-    /// resident.len()`).
+    /// The contact pulled from the source but not yet handed out.
+    peeked: Option<Contact>,
+    /// Whether the source has returned `None`; it is not asked again.
+    exhausted: bool,
+    /// Total contacts pulled from the source so far.
     pulled: usize,
     /// Start time of the most recently pulled contact, for the sorted-order
-    /// debug assertion.
+    /// assertion.
     last_start: Option<SimTime>,
     /// High-water mark of driver-resident contacts plus the source's
     /// buffered state at pull time (see
@@ -122,12 +110,6 @@ impl<'a> ContactDriver<TraceSource<'a>> {
     ) -> ContactDriver<TraceSource<'a>> {
         ContactDriver::from_source(TraceSource::new(trace), faults, factory)
     }
-
-    /// The trace this driver feeds from.
-    #[must_use]
-    pub fn trace(&self) -> &'a ContactTrace {
-        self.source.trace()
-    }
 }
 
 impl<S: ContactSource> ContactDriver<S> {
@@ -146,8 +128,8 @@ impl<S: ContactSource> ContactDriver<S> {
         ContactDriver {
             source,
             plan,
-            resident: VecDeque::new(),
-            base: 0,
+            peeked: None,
+            exhausted: false,
             pulled: 0,
             last_start: None,
             peak_resident: 0,
@@ -166,26 +148,6 @@ impl<S: ContactSource> ContactDriver<S> {
         self.source.span()
     }
 
-    /// The contact with stream index `index`.
-    ///
-    /// In pull mode only the current contact (and the one scheduled after
-    /// it) are resident; in primed mode every contact is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` has not been pulled yet or was already evicted by
-    /// [`advance`](ContactDriver::advance).
-    #[must_use]
-    pub fn contact(&self, index: usize) -> Contact {
-        assert!(
-            index >= self.base && index < self.pulled,
-            "contact {index} is not resident (resident range {}..{})",
-            self.base,
-            self.pulled
-        );
-        self.resident[index - self.base]
-    }
-
     /// The start time of the final contact the source will yield, if known.
     /// A streaming source of unknown length conservatively reports the span
     /// (events up to the span may still influence an exchange). Simulators
@@ -198,89 +160,56 @@ impl<S: ContactSource> ContactDriver<S> {
         }
     }
 
-    /// Pulls one contact from the source, recording it as resident and
-    /// debug-asserting the source's ordering contract.
-    fn pull(&mut self) -> Option<Contact> {
-        let c = self.source.next_contact()?;
-        debug_assert!(
-            self.last_start.is_none_or(|prev| c.start() >= prev),
-            "ContactSource yielded out-of-order contact {} after start {:?}",
-            c,
-            self.last_start
-        );
-        self.last_start = Some(c.start());
-        self.resident.push_back(c);
-        self.pulled += 1;
-        self.peak_resident = self
-            .peak_resident
-            .max(self.resident.len() + self.source.resident_hint());
-        Some(c)
-    }
-
-    /// Drains the whole source and schedules one event per contact into
-    /// `engine`, in stream order, all in delivery class `class`. `make`
-    /// maps the contact's stream index to the simulator's event payload.
+    /// The start of the next contact the feed will hand out, pulling it
+    /// from the source if it is not pulled yet; `None` once the source is
+    /// exhausted.
     ///
-    /// This keeps every contact resident; use
-    /// [`begin`](ContactDriver::begin)/[`advance`](ContactDriver::advance)
-    /// to stream with O(1) resident contacts instead.
-    pub fn prime<E>(
-        &mut self,
-        engine: &mut Engine<E>,
-        class: EventClass,
-        mut make: impl FnMut(usize) -> E,
-    ) {
-        while let Some(c) = self.pull() {
-            engine.schedule_at_class(c.start(), class, make(self.pulled - 1));
-        }
-    }
-
-    /// Starts pull mode: pulls the first contact (if any) and schedules it.
-    /// Pair with [`advance`](ContactDriver::advance) from each contact
-    /// handler.
-    pub fn begin<E>(
-        &mut self,
-        engine: &mut Engine<E>,
-        class: EventClass,
-        make: impl FnOnce(usize) -> E,
-    ) {
-        debug_assert_eq!(self.pulled, 0, "begin() on an already-fed driver");
-        if let Some(c) = self.pull() {
-            engine.schedule_at_class(c.start(), class, make(self.pulled - 1));
-        }
-    }
-
-    /// Advances the pull window from the handler of contact `current`:
-    /// evicts contacts before `current`, then pulls and schedules the next
-    /// contact (if the source has one). Call this at the top of the
-    /// contact-event handler, before querying
-    /// [`contact`](ContactDriver::contact) or
-    /// [`fate`](ContactDriver::fate) for `current`.
+    /// # Panics
     ///
-    /// Exactly one contact event is in flight at a time, and the source's
-    /// nondecreasing start order means the newly scheduled event never lies
-    /// in the past — so the engine's (time, class, FIFO) order reproduces
-    /// the primed interleaving exactly.
-    pub fn advance<E>(
-        &mut self,
-        current: usize,
-        engine: &mut Engine<E>,
-        class: EventClass,
-        make: impl FnOnce(usize) -> E,
-    ) {
-        while self.base < current {
-            self.resident.pop_front();
-            self.base += 1;
+    /// Panics if the source yields a contact that starts before the
+    /// previous one: every simulator's event order rests on the source's
+    /// nondecreasing start order.
+    pub fn peek_start(&mut self) -> Option<SimTime> {
+        if self.peeked.is_none() && !self.exhausted {
+            self.peeked = self.source.next_contact();
+            match self.peeked {
+                Some(c) => {
+                    assert!(
+                        self.last_start.is_none_or(|prev| c.start() >= prev),
+                        "ContactSource yielded out-of-order contact {} after start {:?}",
+                        c,
+                        self.last_start
+                    );
+                    self.last_start = Some(c.start());
+                    self.pulled += 1;
+                    // Resident: the peeked contact, plus the one the caller
+                    // is handling once it has been handed one.
+                    self.peak_resident = self
+                        .peak_resident
+                        .max(self.pulled.min(2) + self.source.resident_hint());
+                }
+                None => self.exhausted = true,
+            }
         }
-        if let Some(c) = self.pull() {
-            engine.schedule_at_class(c.start(), class, make(self.pulled - 1));
-        }
+        self.peeked.map(|c| c.start())
+    }
+
+    /// Hands out the next contact with its stream index (`0` for the
+    /// source's first contact), or `None` once the source is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-order source, as
+    /// [`peek_start`](ContactDriver::peek_start) does.
+    pub fn next_contact(&mut self) -> Option<(usize, Contact)> {
+        self.peek_start()?;
+        self.peeked.take().map(|c| (self.pulled - 1, c))
     }
 
     /// High-water mark of contacts resident in memory, sampled at every
     /// pull: the driver's own window plus whatever the source kept buffered
-    /// at that moment ([`ContactSource::resident_hint`]). In pull mode over
-    /// an incremental source this stays O(source state) regardless of how
+    /// at that moment ([`ContactSource::resident_hint`]). Over an
+    /// incremental source this stays O(source state) regardless of how
     /// many contacts the run processes; over a materialized
     /// [`TraceSource`] it reports the full trace (plus the bounded window),
     /// which is exactly the memory the streaming pipeline exists to avoid.
@@ -295,17 +224,12 @@ impl<S: ContactSource> ContactDriver<S> {
         self.pulled
     }
 
-    /// Classifies the contact with stream index `index` at instant `at`
-    /// (normally its start time). Without a plan every contact is
-    /// [`ContactFate::Deliverable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not resident (see
-    /// [`contact`](ContactDriver::contact)).
+    /// Classifies `contact` at its start instant. Without a plan every
+    /// contact is [`ContactFate::Deliverable`].
     #[must_use]
-    pub fn fate(&self, index: usize, at: SimTime) -> ContactFate {
-        let (a, b) = self.contact(index).pair();
+    pub fn fate(&self, contact: &Contact) -> ContactFate {
+        let (a, b) = contact.pair();
+        let at = contact.start();
         if self.node_down(a, at) || self.node_down(b, at) {
             ContactFate::Down
         } else {
@@ -409,39 +333,28 @@ mod tests {
         generate_pairwise(&config, &RngFactory::new(seed))
     }
 
-    #[test]
-    fn primes_contacts_in_trace_order() {
-        let t = trace(1);
-        let mut driver = ContactDriver::new(&t, None, &RngFactory::new(1));
-        let mut engine: Engine<usize> = Engine::new();
-        driver.prime(&mut engine, EventClass(60), |i| i);
-        assert_eq!(engine.pending(), t.len());
+    /// Drains `driver`, checking the feed's index and peek contract, and
+    /// returns every contact handed out.
+    fn drain<S: ContactSource>(driver: &mut ContactDriver<S>) -> Vec<Contact> {
         let mut seen = Vec::new();
-        let mut last = SimTime::ZERO;
-        while let Some(ev) = engine.next_event() {
-            assert!(ev.time >= last);
-            assert_eq!(ev.time, t.contacts()[ev.payload].start());
-            last = ev.time;
-            seen.push(ev.payload);
+        while let Some(start) = driver.peek_start() {
+            assert_eq!(driver.peek_start(), Some(start), "peeking twice pulls once");
+            let (i, c) = driver
+                .next_contact()
+                .expect("a peeked contact is handed out");
+            assert_eq!((i, c.start()), (seen.len(), start));
+            seen.push(c);
         }
-        assert_eq!(seen, (0..t.len()).collect::<Vec<_>>());
+        assert_eq!(driver.next_contact(), None);
+        seen
     }
 
     #[test]
-    fn pull_mode_fires_the_same_events_as_priming() {
+    fn pull_feed_yields_the_trace_in_order() {
         let t = trace(8);
         let mut driver = ContactDriver::new(&t, None, &RngFactory::new(8));
-        let mut engine: Engine<usize> = Engine::new();
-        driver.begin(&mut engine, EventClass(60), |i| i);
-        assert_eq!(engine.pending(), 1.min(t.len()));
-        let mut seen = Vec::new();
-        while let Some(ev) = engine.next_event() {
-            let ci = ev.payload;
-            driver.advance(ci, &mut engine, EventClass(60), |i| i);
-            assert_eq!(ev.time, driver.contact(ci).start());
-            seen.push(ci);
-        }
-        assert_eq!(seen, (0..t.len()).collect::<Vec<_>>());
+        assert_eq!(driver.contacts_pulled(), 0);
+        assert_eq!(drain(&mut driver), t.contacts());
         assert_eq!(driver.contacts_pulled(), t.len());
         // Only the current and next contacts are ever resident in the
         // driver's own window.
@@ -452,13 +365,8 @@ mod tests {
     fn driver_without_faults_is_transparent() {
         let t = trace(2);
         let mut driver = ContactDriver::new(&t, None, &RngFactory::new(2));
-        let mut engine: Engine<usize> = Engine::new();
-        driver.prime(&mut engine, EventClass(60), |i| i);
-        for i in 0..t.len() {
-            assert_eq!(
-                driver.fate(i, t.contacts()[i].start()),
-                ContactFate::Deliverable
-            );
+        for c in drain(&mut driver) {
+            assert_eq!(driver.fate(&c), ContactFate::Deliverable);
         }
         assert!(!driver.transfer_fails());
         assert!(!driver.transfer_corrupts());
@@ -480,14 +388,12 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut driver = ContactDriver::new(&t, Some(config), &RngFactory::new(3));
-        let mut engine: Engine<usize> = Engine::new();
-        driver.prime(&mut engine, EventClass(60), |i| i);
-        let reference = driver.plan().expect("plan must exist");
         let mut down = 0;
         let mut deliverable = 0;
-        for (i, c) in t.contacts().iter().enumerate() {
+        while let Some((_, c)) = driver.next_contact() {
             let (a, b) = c.pair();
-            let fate = driver.fate(i, c.start());
+            let reference = driver.plan().expect("plan must exist");
+            let fate = driver.fate(&c);
             if reference.node_down(a, c.start()) || reference.node_down(b, c.start()) {
                 assert_eq!(fate, ContactFate::Down);
                 down += 1;
@@ -625,10 +531,8 @@ mod tests {
         }
     }
 
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "out-of-order contact")]
-    fn unsorted_source_is_rejected_in_debug_builds() {
+    /// Drains a source whose second contact starts before its first.
+    fn drain_unsorted_source() {
         let c = |s: f64| {
             Contact::new(
                 NodeId(0),
@@ -643,11 +547,21 @@ mod tests {
             left: vec![c(10.0), c(30.0)],
         };
         let mut driver = ContactDriver::from_source(src, None, &RngFactory::new(1));
-        let mut engine: Engine<usize> = Engine::new();
-        driver.begin(&mut engine, EventClass(60), |i| i);
-        while let Some(ev) = engine.next_event() {
-            driver.advance(ev.payload, &mut engine, EventClass(60), |i| i);
-        }
+        drain(&mut driver);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out-of-order contact")]
+    fn unsorted_source_is_rejected_in_debug_builds() {
+        drain_unsorted_source();
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    #[should_panic(expected = "out-of-order contact")]
+    fn unsorted_source_is_rejected_in_release_builds() {
+        drain_unsorted_source();
     }
 
     #[test]

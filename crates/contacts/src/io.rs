@@ -650,21 +650,20 @@ mod tests {
     #[test]
     fn streaming_source_drives_a_contact_driver() {
         use crate::ContactDriver;
-        use omn_sim::{Engine, EventClass, RngFactory};
+        use omn_sim::RngFactory;
 
         let trace = sample_trace();
         let mut buf = Vec::new();
         write_trace(&trace, &mut buf).unwrap();
         let src = StreamingTraceSource::open(buf.as_slice()).unwrap();
         let mut driver = ContactDriver::from_source(src, None, &RngFactory::new(1));
-        let mut engine: Engine<usize> = Engine::new();
-        driver.begin(&mut engine, EventClass(60), |i| i);
-        let mut starts = Vec::new();
-        while let Some(ev) = engine.next_event() {
-            driver.advance(ev.payload, &mut engine, EventClass(60), |i| i);
-            starts.push(driver.contact(ev.payload).start());
+        let mut fed = Vec::new();
+        while let Some(start) = driver.peek_start() {
+            let (i, c) = driver.next_contact().unwrap();
+            assert_eq!((i, c.start()), (fed.len(), start));
+            fed.push(c);
         }
-        let expected: Vec<SimTime> = trace.contacts().iter().map(Contact::start).collect();
-        assert_eq!(starts, expected);
+        assert_eq!(fed, trace.contacts());
+        assert_eq!(driver.contacts_pulled(), trace.len());
     }
 }

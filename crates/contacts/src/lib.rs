@@ -24,12 +24,11 @@
 //!   reader ([`io::StreamingTraceSource`]), or a sharded large-N generator
 //!   ([`synth::sharded::ShardedCommunitySource`]) whose resident memory is
 //!   O(shards) instead of O(contacts).
-//! * [`ContactDriver`] — the shared contact feed for the event kernel: it
-//!   pulls contacts from a [`ContactSource`] (scheduling each into the
-//!   [`Engine`](omn_sim::Engine) as the run unfolds, or priming everything
-//!   up front) and classifies each contact's fate (deliverable or down)
-//!   under the active fault plan, so every simulator applies faults with
-//!   identical semantics.
+//! * [`ContactDriver`] — the shared contact feed beside the event kernel:
+//!   it hands out contacts from a [`ContactSource`] in stream order, one
+//!   peeked ahead, for each loop to merge with its timers, and classifies
+//!   each contact's fate (deliverable or down) under the active fault
+//!   plan, so every simulator applies faults with identical semantics.
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`]):
 //!   transmission loss, node churn with rejoin, permanent departures,
 //!   stale-version corruption, crashes with state loss, and regional

@@ -3,8 +3,8 @@
 //! A [`ContactSource`] yields contacts one at a time in nondecreasing
 //! `(start, end, pair)` order — the same total order a materialized
 //! [`ContactTrace`] stores its contacts in. The
-//! [`ContactDriver`](crate::ContactDriver) pulls from a source lazily and
-//! schedules each contact as the engine runs, so only O(1) contacts are
+//! [`ContactDriver`](crate::ContactDriver) pulls from a source lazily, one
+//! contact ahead of the simulation loop, so only O(1) contacts are
 //! resident at once regardless of how many the source will ever produce.
 //!
 //! Two classes of sources exist:
@@ -83,12 +83,6 @@ impl<'a> TraceSource<'a> {
     #[must_use]
     pub fn new(trace: &'a ContactTrace) -> TraceSource<'a> {
         TraceSource { trace, next: 0 }
-    }
-
-    /// The underlying trace.
-    #[must_use]
-    pub fn trace(&self) -> &'a ContactTrace {
-        self.trace
     }
 }
 

@@ -9,8 +9,9 @@
 //! contact is one finite transmission opportunity, and refresh traffic,
 //! query forwarding and cache placement all compete for it.
 //!
-//! [`JointSimulator`] runs both layers in **one** [`Engine`] over a
-//! **single shared** [`ContactDriver`]:
+//! [`JointSimulator`] runs both layers' timers in **one** [`Engine`],
+//! merged with the contact stream of a **single shared**
+//! [`ContactDriver`] (contacts never enter the heap):
 //!
 //! * every contact is delivered to the caching layer and to every per-item
 //!   freshness participant at the same instant;
@@ -66,21 +67,16 @@ use omn_contacts::faults::FaultConfig;
 use omn_contacts::{ContactDriver, ContactFate, ContactGraph, ContactTrace, NodeId};
 use omn_sim::metrics::Registry;
 use omn_sim::{
-    Engine, EventClass, LinkConfig, LinkStats, OracleMode, OracleObs, OracleReport, OracleSink,
-    RngFactory, SimWorld, TransferBudget,
+    Engine, LinkConfig, LinkStats, OracleMode, OracleObs, OracleReport, OracleSink, RngFactory,
+    SimWorld, TransferBudget,
 };
 
 use crate::oracle::{BandwidthOracle, BudgetOracle};
 use crate::scheme::RefreshScheme;
 use crate::sim::{
-    FreshnessConfig, FreshnessReport, FreshnessRun, FreshnessSimulator, FreshnessTimer,
-    SchemeChoice,
+    next_step, FreshnessConfig, FreshnessReport, FreshnessRun, FreshnessSimulator, FreshnessTimer,
+    SchemeChoice, Step,
 };
-
-/// Delivery class for contact events, shared with the freshness-only loop:
-/// freshness timers (classes 10–50) and query issues (20) settle before
-/// the exchange, query deadlines (200) after it.
-const CLASS_CONTACT: EventClass = EventClass(60);
 
 /// Who transmits first when a budgeted contact cannot carry everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,15 +142,13 @@ impl Default for JointConfig {
     }
 }
 
-/// The joint world's event alphabet.
+/// The joint world's timer alphabet; contacts come from the driver.
 #[derive(Debug, Clone, Copy)]
-enum JointEvent {
+enum JointTimer {
     /// A caching-layer timer fires.
     Caching(CachingTimer),
     /// A timer of the `i`-th freshness participant fires.
     Freshness(usize, FreshnessTimer),
-    /// The `i`-th contact of the trace starts.
-    Contact(usize),
 }
 
 /// Results of a joint run.
@@ -249,7 +243,7 @@ impl JointSimulator {
         let graph = ContactGraph::from_trace(trace);
         let mut driver = ContactDriver::new(trace, self.config.faults, factory);
         let mut extras = Registry::new();
-        let mut engine: Engine<JointEvent> = Engine::new();
+        let mut engine: Engine<JointTimer> = Engine::new();
 
         // The joint-level oracle world audits the cross-layer invariants:
         // per-contact budget accounting and cache-capacity bounds. Each
@@ -311,18 +305,17 @@ impl JointSimulator {
             }
         }
 
-        // Schedule each layer's timers, then the contact stream (same-instant
-        // ties are broken by event class, so only within-class FIFO
-        // matters).
+        // Schedule each layer's timers (same-instant ties are broken by
+        // event class, so only within-class FIFO matters); every contact
+        // comes straight from the driver.
         for (pi, timers) in part_timers.into_iter().enumerate() {
             for (t, timer) in timers {
-                engine.schedule_at_class(t, timer.class(), JointEvent::Freshness(pi, timer));
+                engine.schedule_at_class(t, timer.class(), JointTimer::Freshness(pi, timer));
             }
         }
         for (t, timer) in caching_timers {
-            engine.schedule_at_class(t, timer.class(), JointEvent::Caching(timer));
+            engine.schedule_at_class(t, timer.class(), JointTimer::Caching(timer));
         }
-        driver.begin(&mut engine, CLASS_CONTACT, JointEvent::Contact);
 
         for (pi, p) in parts.iter_mut().enumerate() {
             p.run.on_start(schemes[pi].as_mut(), driver.plan_mut());
@@ -330,15 +323,14 @@ impl JointSimulator {
 
         let mut max_contact_used = 0u32;
         let mut max_contact_bytes = 0u64;
-        while let Some(ev) = engine.next_event() {
-            let now = ev.time;
-            match ev.payload {
-                JointEvent::Caching(timer) => {
+        while let Some(step) = next_step(&mut engine, &mut driver) {
+            match step {
+                Step::Timer(_, JointTimer::Caching(timer)) => {
                     if let Some((due, timer)) = caching.on_timer(timer) {
-                        engine.schedule_at_class(due, timer.class(), JointEvent::Caching(timer));
+                        engine.schedule_at_class(due, timer.class(), JointTimer::Caching(timer));
                     }
                 }
-                JointEvent::Freshness(pi, timer) => {
+                Step::Timer(now, JointTimer::Freshness(pi, timer)) => {
                     parts[pi]
                         .run
                         .on_timer(timer, now, schemes[pi].as_mut(), driver.plan_mut());
@@ -354,10 +346,10 @@ impl JointSimulator {
                         }
                     }
                 }
-                JointEvent::Contact(ci) => {
-                    driver.advance(ci, &mut engine, CLASS_CONTACT, JointEvent::Contact);
-                    let (a, b) = driver.contact(ci).pair();
-                    let fate = driver.fate(ci, now);
+                Step::Contact(ci, contact) => {
+                    let now = contact.start();
+                    let (a, b) = contact.pair();
+                    let fate = driver.fate(&contact);
                     if fate == ContactFate::Down {
                         extras.add("down-contacts", 1);
                     }
@@ -393,7 +385,7 @@ impl JointSimulator {
                     let byte_cap = self
                         .config
                         .link
-                        .and_then(|l| l.capacity_for(driver.contact(ci).duration()));
+                        .and_then(|l| l.capacity_for(contact.duration()));
                     let mk = |c: Option<u32>, bytes: Option<u64>| {
                         let base = match c {
                             None => TransferBudget::unlimited(),

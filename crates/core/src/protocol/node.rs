@@ -106,13 +106,6 @@ pub enum Effect {
         /// What to do when it fires.
         kind: TimerKind,
     },
-    /// This node adopted a new parent; reserved for runtimes that drive
-    /// the distributed-maintenance variants (the static-tree mode never
-    /// emits it).
-    Reparent {
-        /// The new parent.
-        new_parent: NodeId,
-    },
     /// Add `n` to the named run counter (exact integral counters, e.g. a
     /// replaced relay copy's occupancy, truncated per event exactly like
     /// the DES does).

@@ -161,8 +161,8 @@ impl ReplayHarness {
                 Effect::ReplicaCreated => self.replicas += 1,
                 Effect::Count { name, n } => self.extras.add(name, n),
                 Effect::CountSecs { secs, .. } => self.occupancy_secs += secs,
-                // The replay drives births directly and never reparents.
-                Effect::SetTimer { .. } | Effect::Reparent { .. } => {}
+                // The replay drives births directly.
+                Effect::SetTimer { .. } => {}
             }
         }
     }

@@ -16,21 +16,22 @@
 //! contact-trace simplification); versions born mid-contact propagate at
 //! the next contact.
 //!
-//! The run executes on the shared `omn-sim` event kernel: a
-//! [`ContactDriver`] pulls the contact stream into an [`Engine`] one event
-//! at a time (each contact event schedules the next), and version births,
-//! queries, expiry instants and churn rejoins are first-class scheduled
-//! events. Same-instant events are ordered by [`EventClass`] (births
-//! before queries before expiries before rejoins before contacts), which
-//! fixes the causal conventions the old hand-rolled loop encoded
-//! implicitly. Handling a contact schedules nothing but the next contact.
+//! The run executes on the shared `omn-sim` event kernel: version births,
+//! queries, expiry instants and churn rejoins are timers in an [`Engine`],
+//! and the loop merges them with the ordered contact stream of a
+//! [`ContactDriver`], so contacts never enter the heap. Same-instant
+//! events are ordered by [`EventClass`] (births before queries before
+//! expiries before rejoins before contacts), which fixes the causal
+//! conventions the old hand-rolled loop encoded implicitly. Handling a
+//! contact schedules nothing.
 
 use std::collections::HashMap;
 
 use omn_contacts::estimate::PairRateTable;
 use omn_contacts::faults::{FaultConfig, FaultPlan};
 use omn_contacts::{
-    Centrality, ContactDriver, ContactFate, ContactGraph, ContactSource, ContactTrace, NodeId,
+    Centrality, Contact, ContactDriver, ContactFate, ContactGraph, ContactSource, ContactTrace,
+    NodeId,
 };
 use omn_sim::metrics::{Registry, SampleHistogram, Timeline};
 use omn_sim::{
@@ -56,7 +57,37 @@ const CLASS_BIRTH: EventClass = EventClass(10);
 const CLASS_QUERY: EventClass = EventClass(20);
 const CLASS_EXPIRY: EventClass = EventClass(30);
 const CLASS_REJOIN: EventClass = EventClass(40);
+/// The class a contact would hold in the heap: timers below it settle
+/// before a same-instant exchange, timers above it (the caching layer's
+/// query deadlines, 200) fire after it.
 const CLASS_CONTACT: EventClass = EventClass(60);
+
+/// One step of a DES loop: the next timer or the next contact.
+pub(crate) enum Step<T> {
+    /// A timer fires at `time`.
+    Timer(SimTime, T),
+    /// The contact with this stream index starts.
+    Contact(usize, Contact),
+}
+
+/// Delivers whichever of the engine's next timer and the driver's next
+/// contact orders first, as if the contact sat in the heap in class
+/// [`CLASS_CONTACT`]: a timer fires first exactly when its `(time, class)`
+/// orders before `(contact.start(), CLASS_CONTACT)`. `None` once both are
+/// exhausted.
+pub(crate) fn next_step<T, S: ContactSource>(
+    engine: &mut Engine<T>,
+    driver: &mut ContactDriver<S>,
+) -> Option<Step<T>> {
+    let timer = match driver.peek_start() {
+        Some(start) => engine.next_event_before(start, CLASS_CONTACT),
+        None => engine.next_event(),
+    };
+    match timer {
+        Some(ev) => Some(Step::Timer(ev.time, ev.payload)),
+        None => driver.next_contact().map(|(i, c)| Step::Contact(i, c)),
+    }
+}
 
 /// A non-contact event of one freshness participant: the timer alphabet a
 /// [`FreshnessRun`] asks its driving loop to schedule. Public so that a
@@ -88,15 +119,6 @@ impl FreshnessTimer {
             FreshnessTimer::Rejoin(..) => CLASS_REJOIN,
         }
     }
-}
-
-/// The standalone freshness simulation's event alphabet.
-#[derive(Debug, Clone, Copy)]
-enum FreshnessEvent {
-    /// A participant timer (birth, query, expiry, rejoin).
-    Timer(FreshnessTimer),
-    /// The `i`-th contact of the trace starts.
-    Contact(usize),
 }
 
 /// The built-in schemes the evaluation compares.
@@ -501,9 +523,9 @@ impl FreshnessSimulator {
     /// Runs an arbitrary scheme with explicit roles (e.g. the caching sets
     /// produced by the cooperative caching layer).
     ///
-    /// A thin driving loop around one [`FreshnessRun`] participant: the
-    /// engine interleaves the participant's timers with the contact stream
-    /// of a dedicated [`ContactDriver`], with no transfer budget (standalone
+    /// A thin driving loop around one [`FreshnessRun`] participant: it
+    /// interleaves the participant's timers with the contact stream of a
+    /// dedicated [`ContactDriver`], with no transfer budget (standalone
     /// runs own the whole contact).
     ///
     /// # Panics
@@ -522,7 +544,7 @@ impl FreshnessSimulator {
         let oracle = ContactGraph::from_trace(trace);
         // The driver materializes the run's fault schedule (dedicated RNG
         // streams, so `None` and an all-zero plan are bit-identical) and
-        // feeds the contact stream into the engine.
+        // feeds the contact stream.
         let driver = ContactDriver::new(trace, self.config.faults, factory);
         self.drive(driver, &oracle, source, members, scheme, factory)
             .0
@@ -597,9 +619,9 @@ impl FreshnessSimulator {
         (source, members, graph)
     }
 
-    /// The shared event loop: schedules the participant's timers, pulls
-    /// the contact stream through the engine one event at a time, and
-    /// folds the run into a report.
+    /// The shared event loop: schedules the participant's timers, merges
+    /// them with the driver's contact stream ([`next_step`]), and folds the
+    /// run into a report.
     fn drive<S: ContactSource>(
         &self,
         mut driver: ContactDriver<S>,
@@ -611,23 +633,19 @@ impl FreshnessSimulator {
     ) -> (FreshnessReport, StreamStats) {
         let (mut run, timers) =
             FreshnessRun::new(&self.config, oracle, source, members, &driver, factory);
-        let mut engine: Engine<FreshnessEvent> = Engine::new();
+        let mut engine: Engine<FreshnessTimer> = Engine::new();
         for (t, timer) in timers {
-            engine.schedule_at_class(t, timer.class(), FreshnessEvent::Timer(timer));
+            engine.schedule_at_class(t, timer.class(), timer);
         }
-        driver.begin(&mut engine, CLASS_CONTACT, FreshnessEvent::Contact);
 
         run.on_start(scheme, driver.plan_mut());
-        while let Some(ev) = engine.next_event() {
-            match ev.payload {
-                FreshnessEvent::Timer(timer) => {
-                    run.on_timer(timer, ev.time, scheme, driver.plan_mut());
-                }
-                FreshnessEvent::Contact(ci) => {
-                    driver.advance(ci, &mut engine, CLASS_CONTACT, FreshnessEvent::Contact);
-                    let (a, b) = driver.contact(ci).pair();
-                    let fate = driver.fate(ci, ev.time);
-                    run.on_contact(a, b, fate, ev.time, scheme, driver.plan_mut(), None);
+        while let Some(step) = next_step(&mut engine, &mut driver) {
+            match step {
+                Step::Timer(now, timer) => run.on_timer(timer, now, scheme, driver.plan_mut()),
+                Step::Contact(_, c) => {
+                    let (a, b) = c.pair();
+                    let fate = driver.fate(&c);
+                    run.on_contact(a, b, fate, c.start(), scheme, driver.plan_mut(), None);
                 }
             }
         }
@@ -706,7 +724,7 @@ pub struct FreshnessRun<'a> {
 impl<'a> FreshnessRun<'a> {
     /// Builds a participant plus the initial timers its driving loop must
     /// schedule (member rejoins, copy expiries, query issues, version
-    /// births — contact events come from the caller's shared
+    /// births — contacts come from the caller's shared
     /// [`ContactDriver`]). Each timer goes into the class
     /// [`FreshnessTimer::class`] reports.
     ///
@@ -1231,6 +1249,40 @@ mod tests {
             query_count: 100,
             ..FreshnessConfig::default()
         }
+    }
+
+    #[test]
+    fn next_step_puts_a_contact_between_the_timer_classes_of_its_instant() {
+        let t = SimTime::from_secs;
+        let trace = omn_contacts::TraceBuilder::new(2)
+            .contact(Contact::new(NodeId(0), NodeId(1), t(10.0), t(11.0)).unwrap())
+            .contact(Contact::new(NodeId(0), NodeId(1), t(20.0), t(21.0)).unwrap())
+            .build()
+            .unwrap();
+        let mut driver = ContactDriver::new(&trace, None, &RngFactory::new(1));
+        let mut engine = Engine::new();
+        engine.schedule_at_class(t(10.0), EventClass(200), "deadline");
+        engine.schedule_at_class(t(10.0), CLASS_BIRTH, "birth");
+        engine.schedule_at_class(t(5.0), CLASS_REJOIN, "rejoin");
+        let mut order = Vec::new();
+        while let Some(step) = next_step(&mut engine, &mut driver) {
+            order.push(match step {
+                Step::Timer(at, name) => (at, name.to_owned()),
+                Step::Contact(i, c) => (c.start(), format!("contact {i}")),
+            });
+        }
+        let expected = [
+            (5.0, "rejoin"),
+            (10.0, "birth"),
+            (10.0, "contact 0"),
+            (10.0, "deadline"),
+            (20.0, "contact 1"),
+        ];
+        let expected: Vec<_> = expected
+            .iter()
+            .map(|&(at, n)| (t(at), n.to_owned()))
+            .collect();
+        assert_eq!(order, expected);
     }
 
     /// The caching nodes are the first `caching_nodes` of `ranked` other

@@ -275,10 +275,6 @@ impl NodeTask {
                             .await;
                     }
                 }
-                // The static-tree and epidemic modes never emit this;
-                // runtimes for the distributed-maintenance variants would
-                // record it.
-                Effect::Reparent { .. } => {}
                 Effect::Count { name, n } => bump(&mut self.counts, name, n),
                 Effect::CountSecs { name, secs } => bump_secs(&mut self.count_secs, name, secs),
             }

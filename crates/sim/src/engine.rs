@@ -62,12 +62,6 @@ impl<E> Engine<E> {
         self.now
     }
 
-    /// Number of pending events.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedules `payload` at absolute time `at`.
     ///
     /// # Panics
@@ -104,6 +98,25 @@ impl<E> Engine<E> {
     /// Returns `None` when the queue is exhausted.
     pub fn next_event(&mut self) -> Option<ScheduledEvent<E>> {
         let (time, payload) = self.queue.pop()?;
+        self.now = time;
+        Some(ScheduledEvent { time, payload })
+    }
+
+    /// Delivers the next event only if it orders strictly before an event
+    /// at `(at, class)`: earlier than `at`, or at `at` in a lower class.
+    ///
+    /// This merges the queue with an external stream kept in the same
+    /// order: with the stream's next item at `(at, class)`, a loop that
+    /// takes this event when there is one and the stream's item otherwise
+    /// delivers exactly what one queue holding both would, given that the
+    /// stream's item was enqueued before any equal `(time, class)` event.
+    /// The clock advances only with delivered events.
+    pub fn next_event_before(
+        &mut self,
+        at: SimTime,
+        class: EventClass,
+    ) -> Option<ScheduledEvent<E>> {
+        let (time, payload) = self.queue.pop_before(at, class)?;
         self.now = time;
         Some(ScheduledEvent { time, payload })
     }
@@ -174,5 +187,25 @@ mod tests {
         assert_eq!(e.next_event().unwrap().payload, "birth");
         assert_eq!(e.next_event().unwrap().payload, "expiry");
         assert_eq!(e.next_event().unwrap().payload, "contact");
+    }
+
+    #[test]
+    fn next_event_before_stops_at_the_bound() {
+        let mut e = Engine::new();
+        e.schedule_at_class(t(1.0), EventClass(10), "early");
+        e.schedule_at_class(t(2.0), EventClass(10), "same-instant-below");
+        e.schedule_at_class(t(2.0), EventClass(60), "same-key");
+        e.schedule_at_class(t(2.0), EventClass(200), "same-instant-above");
+        let bound = (t(2.0), EventClass(60));
+        assert_eq!(
+            e.next_event_before(bound.0, bound.1).unwrap().payload,
+            "early"
+        );
+        let ev = e.next_event_before(bound.0, bound.1).unwrap();
+        assert_eq!(ev.payload, "same-instant-below");
+        assert_eq!(e.now(), t(2.0));
+        assert!(e.next_event_before(bound.0, bound.1).is_none());
+        assert_eq!(e.next_event().unwrap().payload, "same-key");
+        assert_eq!(e.next_event().unwrap().payload, "same-instant-above");
     }
 }

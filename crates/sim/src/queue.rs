@@ -132,48 +132,20 @@ impl<E> EventQueue<E> {
         }));
     }
 
-    /// The timestamp of the next event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
     /// Removes and returns the next event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.payload))
     }
 
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if there are no pending events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> Extend<(SimTime, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        for (t, e) in iter {
-            self.schedule(t, e);
+    /// Removes and returns the next event only if its `(time, class)`
+    /// orders strictly before `(time, class)` given here.
+    pub(crate) fn pop_before(&mut self, time: SimTime, class: EventClass) -> Option<(SimTime, E)> {
+        let Reverse(next) = self.heap.peek()?;
+        if (next.time, next.class) < (time, class) {
+            self.pop()
+        } else {
+            None
         }
-    }
-}
-
-impl<E> FromIterator<(SimTime, E)> for EventQueue<E> {
-    fn from_iter<I: IntoIterator<Item = (SimTime, E)>>(iter: I) -> EventQueue<E> {
-        let mut q = EventQueue::new();
-        q.extend(iter);
-        q
     }
 }
 
@@ -206,36 +178,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((t(5.0), i)));
         }
-    }
-
-    #[test]
-    fn peek_reports_the_next_time_without_popping() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.schedule(t(2.0), "b");
-        q.schedule(t(1.0), "a");
-        assert_eq!(q.peek_time(), Some(t(1.0)));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((t(1.0), "a")));
-        assert_eq!(q.peek_time(), Some(t(2.0)));
-    }
-
-    #[test]
-    fn len_and_clear() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1.0), 1);
-        q.schedule(t(2.0), 2);
-        assert_eq!(q.len(), 2);
-        assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn from_iterator() {
-        let q: EventQueue<u32> = vec![(t(2.0), 2), (t(1.0), 1)].into_iter().collect();
-        assert_eq!(q.len(), 2);
     }
 
     #[test]

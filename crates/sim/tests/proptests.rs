@@ -45,6 +45,78 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
+    /// Merging the engine's timers with a sorted external stream through
+    /// `next_event_before` delivers exactly what one queue holding the
+    /// stream as class-60 events delivers. Timers sit at few instants in
+    /// classes on both sides of 60, and some schedule a follow-up timer
+    /// when they fire (a delay of 3 means none).
+    #[test]
+    fn merging_a_sorted_stream_matches_one_queue(
+        timers in prop::collection::vec((0u8..6, 0usize..8, 0u8..4, 0usize..8), 0..60),
+        mut stream in prop::collection::vec(0u8..6, 0..60),
+    ) {
+        const CLASSES: [u8; 8] = [0, 10, 20, 40, 59, 61, 128, 200];
+        const STREAM_CLASS: EventClass = EventClass(60);
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Ev {
+            Timer(usize),
+            FollowUp(usize),
+            Stream(usize),
+        }
+        let at = |t: u8| SimTime::from_secs(f64::from(t));
+        let class = |c: usize| EventClass(CLASSES[c]);
+        let follow_up = |ev: Ev, now: SimTime| match ev {
+            Ev::Timer(i) if timers[i].2 < 3 => {
+                let (_, _, delay, c) = timers[i];
+                Some((now + SimDuration::from_secs(f64::from(delay)), class(c), Ev::FollowUp(i)))
+            }
+            _ => None,
+        };
+        stream.sort_unstable();
+
+        // Reference: one queue, the stream scheduled after the timers.
+        let mut queue = EventQueue::new();
+        for (i, &(t, c, ..)) in timers.iter().enumerate() {
+            queue.schedule_with_class(at(t), class(c), Ev::Timer(i));
+        }
+        for (j, &t) in stream.iter().enumerate() {
+            queue.schedule_with_class(at(t), STREAM_CLASS, Ev::Stream(j));
+        }
+        let mut expected = Vec::new();
+        while let Some((now, ev)) = queue.pop() {
+            if let Some((due, c, next)) = follow_up(ev, now) {
+                queue.schedule_with_class(due, c, next);
+            }
+            expected.push((now, ev));
+        }
+
+        // Merge: only timers in the engine, the stream pulled in order.
+        let mut engine = Engine::new();
+        for (i, &(t, c, ..)) in timers.iter().enumerate() {
+            engine.schedule_at_class(at(t), class(c), Ev::Timer(i));
+        }
+        let mut pulled = 0;
+        let mut merged = Vec::new();
+        loop {
+            let timer = match stream.get(pulled) {
+                Some(&t) => engine.next_event_before(at(t), STREAM_CLASS),
+                None => engine.next_event(),
+            };
+            if let Some(ev) = timer {
+                if let Some((due, c, next)) = follow_up(ev.payload, ev.time) {
+                    engine.schedule_at_class(due, c, next);
+                }
+                merged.push((ev.time, ev.payload));
+            } else if let Some(&t) = stream.get(pulled) {
+                merged.push((at(t), Ev::Stream(pulled)));
+                pulled += 1;
+            } else {
+                break;
+            }
+        }
+        prop_assert_eq!(merged, expected);
+    }
+
     /// The engine clock never goes backwards and ends at the max event time.
     #[test]
     fn engine_clock_monotone(times in prop::collection::vec(0.0f64..1e4, 1..100)) {
