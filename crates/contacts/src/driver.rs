@@ -47,7 +47,7 @@ pub enum ContactFate {
 }
 
 /// The result of one budget-constrained transfer attempt; see
-/// [`ContactDriver::budgeted_transfer`].
+/// [`ContactDriver::budgeted_transfer_sized`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferOutcome {
     /// The transfer went through (budget consumed, loss draw passed).
@@ -243,26 +243,16 @@ impl<S: ContactSource> ContactDriver<S> {
         self.plan.as_mut().is_some_and(FaultPlan::transfer_fails)
     }
 
-    /// Attempts one data transfer within a shared per-contact `budget`.
-    ///
-    /// The budget is checked *before* the loss draw: an over-budget
-    /// attempt consumes no randomness and must not be counted as a
-    /// transmission by the caller — the radios never got the airtime, so
-    /// nothing was sent and nothing could be lost. With an unlimited
-    /// budget this is bit-identical to calling
-    /// [`transfer_fails`](ContactDriver::transfer_fails) directly.
-    pub fn budgeted_transfer(&mut self, budget: &mut TransferBudget) -> TransferOutcome {
-        self.budgeted_transfer_sized(budget, 0)
-    }
-
     /// Attempts one sized data transfer within a shared per-contact
     /// `budget`, charging `bytes` against its byte capacity (if any).
     ///
     /// Both capacity axes are checked *before* the loss draw: a denied
     /// attempt consumes no randomness and must not be counted as a
-    /// transmission. A zero-size transfer or a budget without a byte
-    /// capacity degrades bit-identically to
-    /// [`budgeted_transfer`](ContactDriver::budgeted_transfer).
+    /// transmission by the caller — the radios never got the airtime, so
+    /// nothing was sent and nothing could be lost. With an unlimited
+    /// budget this is bit-identical to calling
+    /// [`transfer_fails`](ContactDriver::transfer_fails) directly, and a
+    /// zero-size transfer is never byte-denied.
     pub fn budgeted_transfer_sized(
         &mut self,
         budget: &mut TransferBudget,
@@ -293,25 +283,6 @@ impl<S: ContactSource> ContactDriver<S> {
     #[must_use]
     pub fn rejoin_events(&self) -> &[Rejoin] {
         self.plan.as_ref().map_or(&[], FaultPlan::rejoin_events)
-    }
-
-    /// Draws whether the next successful data transfer is corrupted into a
-    /// stale-version replay. Always `false` without a plan; consumes no
-    /// randomness when corruption is zero.
-    pub fn transfer_corrupts(&mut self) -> bool {
-        self.plan.as_mut().is_some_and(FaultPlan::transfer_corrupts)
-    }
-
-    /// The permanently departed nodes (empty without a plan).
-    #[must_use]
-    pub fn departed(&self) -> &[NodeId] {
-        self.plan.as_ref().map_or(&[], FaultPlan::departed)
-    }
-
-    /// The underlying fault plan, if one is active.
-    #[must_use]
-    pub fn plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
     }
 
     /// Mutable access to the fault plan (e.g. so schemes can draw their own
@@ -369,10 +340,8 @@ mod tests {
             assert_eq!(driver.fate(&c), ContactFate::Deliverable);
         }
         assert!(!driver.transfer_fails());
-        assert!(!driver.transfer_corrupts());
         assert!(driver.rejoin_events().is_empty());
-        assert!(driver.departed().is_empty());
-        assert!(driver.plan().is_none());
+        assert!(driver.plan_mut().is_none());
     }
 
     #[test]
@@ -392,9 +361,11 @@ mod tests {
         let mut deliverable = 0;
         while let Some((_, c)) = driver.next_contact() {
             let (a, b) = c.pair();
-            let reference = driver.plan().expect("plan must exist");
+            let reference = driver.plan_mut().expect("plan must exist");
+            let endpoint_down =
+                reference.node_down(a, c.start()) || reference.node_down(b, c.start());
             let fate = driver.fate(&c);
-            if reference.node_down(a, c.start()) || reference.node_down(b, c.start()) {
+            if endpoint_down {
                 assert_eq!(fate, ContactFate::Down);
                 down += 1;
             } else {
@@ -417,9 +388,16 @@ mod tests {
         let mut d2 = ContactDriver::new(&t, Some(config), &RngFactory::new(6));
         // d1: several attempts under a budget of 1 — only one real draw.
         let mut b = TransferBudget::capped(1);
-        assert_ne!(d1.budgeted_transfer(&mut b), TransferOutcome::OverBudget);
-        assert_eq!(d1.budgeted_transfer(&mut b), TransferOutcome::OverBudget);
-        assert_eq!(d1.budgeted_transfer(&mut b), TransferOutcome::OverBudget);
+        assert_ne!(
+            d1.budgeted_transfer_sized(&mut b, 0),
+            TransferOutcome::OverBudget
+        );
+        for _ in 0..2 {
+            assert_eq!(
+                d1.budgeted_transfer_sized(&mut b, 0),
+                TransferOutcome::OverBudget
+            );
+        }
         assert_eq!(b.used(), 1);
         // d2: one plain draw. The streams must stay aligned afterwards,
         // proving denied attempts consume no randomness.
@@ -440,7 +418,7 @@ mod tests {
         let mut d2 = ContactDriver::new(&t, Some(config), &RngFactory::new(7));
         let mut b = TransferBudget::unlimited();
         for _ in 0..64 {
-            let outcome = d1.budgeted_transfer(&mut b);
+            let outcome = d1.budgeted_transfer_sized(&mut b, 0);
             let failed = d2.transfer_fails();
             assert_eq!(outcome == TransferOutcome::Lost, failed);
         }
@@ -474,6 +452,8 @@ mod tests {
         }
     }
 
+    /// A zero-size transfer under a zero byte capacity is decided by the
+    /// slot capacity alone, as under no byte capacity.
     #[test]
     fn zero_size_sized_transfer_matches_unsized() {
         let t = trace(10);
@@ -488,7 +468,7 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(
                 d1.budgeted_transfer_sized(&mut b1, 0),
-                d2.budgeted_transfer(&mut b2)
+                d2.budgeted_transfer_sized(&mut b2, 0)
             );
         }
         assert_eq!(b1.used(), b2.used());

@@ -15,14 +15,12 @@
 //! at each version birth, relays are pre-loaded by their parent), so small
 //! systematic gaps are expected and documented in EXPERIMENTS.md.
 
-use std::collections::HashMap;
-
 use omn_contacts::{ContactGraph, NodeId};
 
 use crate::delay::DelayModel;
 use crate::freshness::FreshnessRequirement;
 use crate::hierarchy::RefreshHierarchy;
-use crate::replication::ReplicationPlan;
+use crate::replication::EdgePlans;
 
 /// Per-node analytical predictions.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +55,7 @@ pub struct AnalysisSummary {
 #[must_use]
 pub fn node_delay_model(
     hierarchy: &RefreshHierarchy,
-    plans: &HashMap<(NodeId, NodeId), ReplicationPlan>,
+    plans: &EdgePlans,
     graph: &ContactGraph,
     node: NodeId,
 ) -> DelayModel {
@@ -109,10 +107,7 @@ impl OverheadModel {
 
 /// The expected per-version overhead implied by a hierarchy and its plans.
 #[must_use]
-pub fn overhead_model(
-    hierarchy: &RefreshHierarchy,
-    plans: &HashMap<(NodeId, NodeId), ReplicationPlan>,
-) -> OverheadModel {
+pub fn overhead_model(hierarchy: &RefreshHierarchy, plans: &EdgePlans) -> OverheadModel {
     OverheadModel {
         tree_transmissions: hierarchy.members().len() as f64,
         replica_transmissions: plans.values().map(|p| p.relays.len() as f64).sum(),
@@ -123,7 +118,7 @@ pub fn overhead_model(
 #[must_use]
 pub fn analyze(
     hierarchy: &RefreshHierarchy,
-    plans: &HashMap<(NodeId, NodeId), ReplicationPlan>,
+    plans: &EdgePlans,
     graph: &ContactGraph,
     period_secs: f64,
     requirement: FreshnessRequirement,
@@ -187,7 +182,7 @@ mod tests {
     fn unreplicated_chain_is_hypoexponential() {
         let g = line_graph();
         let h = build(&g);
-        let model = node_delay_model(&h, &HashMap::new(), &g, NodeId(2));
+        let model = node_delay_model(&h, &EdgePlans::default(), &g, NodeId(2));
         // Path 0→1→2: Hypo[0.01, 0.005].
         assert!((model.mean().unwrap() - (100.0 + 200.0)).abs() < 1e-9);
     }
@@ -198,7 +193,7 @@ mod tests {
         let h = build(&g);
         let req = FreshnessRequirement::new(0.9, SimDuration::from_secs(300.0));
         let plans = ReplicationPlanner::new(req, 2).plan_hierarchy(&h, &g);
-        let bare = node_delay_model(&h, &HashMap::new(), &g, NodeId(2));
+        let bare = node_delay_model(&h, &EdgePlans::default(), &g, NodeId(2));
         let replicated = node_delay_model(&h, &plans, &g, NodeId(2));
         for t in [100.0, 300.0, 600.0] {
             assert!(

@@ -15,6 +15,9 @@
 //!
 //! * every contact is delivered to the caching layer and to every per-item
 //!   freshness participant at the same instant;
+//! * the world keeps one contact-rate table: the loop records each
+//!   deliverable contact into it once, before either layer handles the
+//!   contact, and lends it to every participant's scheme;
 //! * each contact carries an optional transfer budget
 //!   ([`JointConfig::contact_budget`]): refresh transmissions and
 //!   placement/query/response hops draw from the same pool, in an order
@@ -63,12 +66,13 @@
 use omn_caching::policy::PolicyChoice;
 use omn_caching::query::QueryWorkload;
 use omn_caching::{AccessReport, CachingConfig, CachingRun, CachingTimer, Catalog, DataItemId};
+use omn_contacts::estimate::PairRateTable;
 use omn_contacts::faults::FaultConfig;
 use omn_contacts::{ContactDriver, ContactFate, ContactGraph, ContactTrace, NodeId};
 use omn_sim::metrics::Registry;
 use omn_sim::{
     Engine, LinkConfig, LinkStats, OracleMode, OracleObs, OracleReport, OracleSink, RngFactory,
-    SimWorld, TransferBudget,
+    SimTime, SimWorld, TransferBudget,
 };
 
 use crate::oracle::{BandwidthOracle, BudgetOracle};
@@ -278,7 +282,7 @@ impl JointSimulator {
         // set, over the NCLs as members.
         let mut parts: Vec<Participant<'_>> = Vec::new();
         let mut schemes: Vec<Box<dyn RefreshScheme>> = Vec::new();
-        let mut part_timers: Vec<Vec<(omn_sim::SimTime, FreshnessTimer)>> = Vec::new();
+        let mut part_timers: Vec<Vec<(SimTime, FreshnessTimer)>> = Vec::new();
         if let Some(fc) = &self.config.freshness {
             let fsim = FreshnessSimulator::new(*fc);
             for item in catalog.items() {
@@ -317,8 +321,11 @@ impl JointSimulator {
             engine.schedule_at_class(t, timer.class(), JointTimer::Caching(timer));
         }
 
+        // One contact-rate table for the world, lent to every participant.
+        let mut rates = PairRateTable::new(SimTime::ZERO);
         for (pi, p) in parts.iter_mut().enumerate() {
-            p.run.on_start(schemes[pi].as_mut(), driver.plan_mut());
+            p.run
+                .on_start(schemes[pi].as_mut(), driver.plan_mut(), &mut rates);
         }
 
         let mut max_contact_used = 0u32;
@@ -331,9 +338,13 @@ impl JointSimulator {
                     }
                 }
                 Step::Timer(now, JointTimer::Freshness(pi, timer)) => {
-                    parts[pi]
-                        .run
-                        .on_timer(timer, now, schemes[pi].as_mut(), driver.plan_mut());
+                    parts[pi].run.on_timer(
+                        timer,
+                        now,
+                        schemes[pi].as_mut(),
+                        driver.plan_mut(),
+                        &mut rates,
+                    );
                     if let FreshnessTimer::Birth(v) = timer {
                         // Cache placement observes the birth: copies in
                         // caches are now stale.
@@ -353,6 +364,12 @@ impl JointSimulator {
                     if fate == ContactFate::Down {
                         extras.add("down-contacts", 1);
                     }
+                    // The rate table sees a deliverable contact once,
+                    // before any layer handles it; only the freshness
+                    // participants read it.
+                    if fate == ContactFate::Deliverable && !parts.is_empty() {
+                        rates.record_contact(a, b);
+                    }
 
                     // Freshness participants always see the contact (they
                     // count a down contact themselves); caching traffic
@@ -367,6 +384,7 @@ impl JointSimulator {
                                     now,
                                     scheme.as_mut(),
                                     driver.plan_mut(),
+                                    &mut rates,
                                     $budget,
                                 );
                             }
@@ -477,7 +495,7 @@ impl JointSimulator {
                     if fate == ContactFate::Deliverable {
                         for p in &parts {
                             for node in [a, b] {
-                                if let Some(&v) = p.run.member_versions().get(&node) {
+                                if let Some(v) = p.run.member_version(node) {
                                     if caching.refresh_copy(node, p.item, v, now) {
                                         extras.add("refreshed-cache-entries", 1);
                                     }
@@ -492,7 +510,10 @@ impl JointSimulator {
         let freshness: Vec<(DataItemId, FreshnessReport)> = parts
             .into_iter()
             .zip(schemes.iter_mut())
-            .map(|(p, scheme)| (p.item, p.run.finish(scheme.as_mut(), driver.plan_mut())))
+            .map(|(p, scheme)| {
+                let report = p.run.finish(scheme.as_mut(), driver.plan_mut(), &mut rates);
+                (p.item, report)
+            })
             .collect();
         let access = caching.finish(trace.span(), extras);
         world.advance_to(trace.span());

@@ -21,9 +21,7 @@
 //! scheme holds the tree, so mirroring it into an oracle would only add a
 //! second copy to keep consistent.
 
-use std::collections::HashMap;
-
-use omn_sim::{InvariantOracle, OracleObs, OracleSink, SimTime, Violation};
+use omn_sim::{FxHashMap, InvariantOracle, OracleObs, OracleSink, SimTime, Violation};
 
 /// Version monotonicity: a node's absorbed version number never regresses.
 ///
@@ -34,7 +32,7 @@ use omn_sim::{InvariantOracle, OracleObs, OracleSink, SimTime, Violation};
 /// is legitimate recovery.
 #[derive(Debug, Default)]
 pub struct VersionOrderOracle {
-    high: HashMap<u64, u64>,
+    high: FxHashMap<u64, u64>,
 }
 
 impl VersionOrderOracle {

@@ -18,14 +18,16 @@
 //! within total deadline `τ`. An edge shared by several members adopts its
 //! most stringent assignment (minimum deadline, maximum target).
 
-use std::collections::HashMap;
-
 use omn_contacts::{ContactGraph, NodeId};
-use omn_sim::SimDuration;
+use omn_sim::{FxHashMap, SimDuration};
 
 use crate::delay::DelayModel;
 use crate::freshness::FreshnessRequirement;
 use crate::hierarchy::{RefreshHierarchy, DISCONNECTED_HOP_PENALTY};
+
+/// The replication plans of a hierarchy, keyed by tree edge
+/// `(parent, child)`.
+pub type EdgePlans = FxHashMap<(NodeId, NodeId), ReplicationPlan>;
 
 /// The replication plan of one tree edge.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,11 +173,7 @@ impl ReplicationPlanner {
     /// deadline split, geometric probability split) and the most stringent
     /// assignment wins on shared edges.
     #[must_use]
-    pub fn plan_hierarchy(
-        &self,
-        hierarchy: &RefreshHierarchy,
-        graph: &ContactGraph,
-    ) -> HashMap<(NodeId, NodeId), ReplicationPlan> {
+    pub fn plan_hierarchy(&self, hierarchy: &RefreshHierarchy, graph: &ContactGraph) -> EdgePlans {
         let req = self.requirement;
         self.plan_hierarchy_per_member(hierarchy, graph, |_| req)
     }
@@ -192,7 +190,7 @@ impl ReplicationPlanner {
         hierarchy: &RefreshHierarchy,
         graph: &ContactGraph,
         requirement_of: F,
-    ) -> HashMap<(NodeId, NodeId), ReplicationPlan>
+    ) -> EdgePlans
     where
         F: Fn(NodeId) -> FreshnessRequirement,
     {
@@ -202,7 +200,7 @@ impl ReplicationPlanner {
             .collect();
 
         // Most stringent (deadline, target) per edge over member paths.
-        let mut edge_req: HashMap<(NodeId, NodeId), (f64, f64)> = HashMap::new();
+        let mut edge_req: FxHashMap<(NodeId, NodeId), (f64, f64)> = FxHashMap::default();
         for &m in hierarchy.members() {
             let member_req = requirement_of(m);
             let tau = member_req.deadline.as_secs();

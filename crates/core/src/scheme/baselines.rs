@@ -1,10 +1,8 @@
 //! Baseline refresh schemes: epidemic flooding of updates, and no
 //! refreshing at all.
 
-use std::collections::HashMap;
-
 use omn_contacts::NodeId;
-use omn_sim::SimTime;
+use omn_sim::{FxHashMap, SimTime};
 
 use super::{RefreshScheme, SchemeCtx};
 
@@ -17,7 +15,7 @@ use super::{RefreshScheme, SchemeCtx};
 pub struct EpidemicRefresh {
     /// Newest version carried by each non-member node, with the time it
     /// was acquired (for buffer-occupancy accounting).
-    carried: HashMap<NodeId, (u64, SimTime)>,
+    carried: FxHashMap<NodeId, (u64, SimTime)>,
 }
 
 impl EpidemicRefresh {
@@ -138,11 +136,11 @@ mod tests {
         // Relay 3 → member 2.
         h.now = SimTime::from_secs(2.0);
         s.on_contact(NodeId(3), NodeId(2), &mut h.ctx());
-        assert_eq!(h.member_versions[&NodeId(2)], 1);
+        assert_eq!(h.held(NodeId(2)), 1);
         // Member 2 → member 1.
         h.now = SimTime::from_secs(3.0);
         s.on_contact(NodeId(2), NodeId(1), &mut h.ctx());
-        assert_eq!(h.member_versions[&NodeId(1)], 1);
+        assert_eq!(h.held(NodeId(1)), 1);
         assert_eq!(h.transmissions, 3);
     }
 
@@ -178,7 +176,7 @@ mod tests {
         s.on_contact(NodeId(0), NodeId(3), &mut h.ctx());
         s.on_contact(NodeId(0), NodeId(1), &mut h.ctx());
         assert_eq!(h.replicas, 0);
-        assert_eq!(h.member_versions[&NodeId(1)], 0);
+        assert_eq!(h.held(NodeId(1)), 0);
         assert_eq!(h.transmissions, 2, "lost attempts still cost transmissions");
         // The flood self-heals once the channel recovers.
         h.faults = None;
@@ -186,7 +184,7 @@ mod tests {
         s.on_contact(NodeId(0), NodeId(3), &mut h.ctx());
         s.on_contact(NodeId(0), NodeId(1), &mut h.ctx());
         assert_eq!(h.replicas, 1);
-        assert_eq!(h.member_versions[&NodeId(1)], 1);
+        assert_eq!(h.held(NodeId(1)), 1);
     }
 
     #[test]
@@ -197,7 +195,7 @@ mod tests {
         s.on_contact(NodeId(0), NodeId(1), &mut h.ctx());
         s.on_contact(NodeId(1), NodeId(2), &mut h.ctx());
         assert_eq!(h.transmissions, 0);
-        assert_eq!(h.member_versions[&NodeId(1)], 0);
+        assert_eq!(h.held(NodeId(1)), 0);
         assert_eq!(s.name(), "no-refresh");
     }
 }

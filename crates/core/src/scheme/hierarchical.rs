@@ -7,14 +7,12 @@
 //! (`on_start` / `on_version_birth` / `on_contact` / `on_state_loss` /
 //! `on_finish`) through [`SchemeCtx`].
 
-use std::collections::{HashMap, HashSet};
-
 use omn_contacts::{ContactGraph, NodeId};
-use omn_sim::{split_mix64, SimDuration, SimTime};
+use omn_sim::{split_mix64, FxHashMap, FxHashSet, SimDuration, SimTime};
 
 use crate::freshness::FreshnessRequirement;
 use crate::hierarchy::{HierarchyStrategy, RefreshHierarchy};
-use crate::replication::{ReplicationPlan, ReplicationPlanner};
+use crate::replication::{EdgePlans, ReplicationPlanner};
 
 use super::{Delivery, RefreshScheme, SchemeCtx};
 
@@ -193,7 +191,7 @@ impl Default for HierarchicalConfig {
 }
 
 /// A planned hierarchy with its per-edge replication plans.
-type PlannedStructure = (RefreshHierarchy, HashMap<(NodeId, NodeId), ReplicationPlan>);
+type PlannedStructure = (RefreshHierarchy, EdgePlans);
 
 /// A relay copy of a version, owned by a non-caching relay node, destined
 /// for a specific child.
@@ -226,26 +224,26 @@ struct RelayCopy {
 pub struct HierarchicalScheme {
     config: HierarchicalConfig,
     hierarchy: Option<RefreshHierarchy>,
-    plans: HashMap<(NodeId, NodeId), ReplicationPlan>,
-    relay_copies: HashMap<NodeId, Vec<RelayCopy>>,
+    plans: EdgePlans,
+    relay_copies: FxHashMap<NodeId, Vec<RelayCopy>>,
     /// `(relay, target, version)` triples already handed out, so a relay is
     /// preloaded at most once per version per child even after its copy is
     /// delivered or garbage-collected.
-    handled: HashSet<(NodeId, NodeId, u64)>,
+    handled: FxHashSet<(NodeId, NodeId, u64)>,
     /// `(relay, target, version)` handoffs lost to transmission failure:
     /// how many attempts they have consumed (so retries stay bounded) and
     /// when the next attempt is allowed (retry backoff).
-    attempts: HashMap<(NodeId, NodeId, u64), (u32, SimTime)>,
+    attempts: FxHashMap<(NodeId, NodeId, u64), (u32, SimTime)>,
     /// Consecutive failed *direct* refresh deliveries per tree edge
     /// `(parent, child)`; feeds [`RetryPolicy::escalate_after`]. Reset on
     /// a successful delivery.
-    edge_failures: HashMap<(NodeId, NodeId), u32>,
+    edge_failures: FxHashMap<(NodeId, NodeId), u32>,
     /// When each tree edge `(parent, child)` last saw its endpoints meet;
     /// the failure detector's silence clock (resilience only).
-    edge_heard: HashMap<(NodeId, NodeId), SimTime>,
+    edge_heard: FxHashMap<(NodeId, NodeId), SimTime>,
     /// Standing suspicions `(watcher, watched)`, so each detected failure
     /// is counted once until the watched node is heard from again.
-    suspects: HashSet<(NodeId, NodeId)>,
+    suspects: FxHashSet<(NodeId, NodeId)>,
     next_rebuild: Option<SimTime>,
     /// Re-parenting improvement threshold: the new path delay must be below
     /// this fraction of the current one (hysteresis against flapping).
@@ -263,13 +261,13 @@ impl HierarchicalScheme {
         HierarchicalScheme {
             config,
             hierarchy: None,
-            plans: HashMap::new(),
-            relay_copies: HashMap::new(),
-            handled: HashSet::new(),
-            attempts: HashMap::new(),
-            edge_failures: HashMap::new(),
-            edge_heard: HashMap::new(),
-            suspects: HashSet::new(),
+            plans: EdgePlans::default(),
+            relay_copies: FxHashMap::default(),
+            handled: FxHashSet::default(),
+            attempts: FxHashMap::default(),
+            edge_failures: FxHashMap::default(),
+            edge_heard: FxHashMap::default(),
+            suspects: FxHashSet::default(),
             next_rebuild: None,
             reparent_factor: 0.7,
             fixed: None,
@@ -285,7 +283,7 @@ impl HierarchicalScheme {
     pub fn with_fixed_plan(
         config: HierarchicalConfig,
         hierarchy: RefreshHierarchy,
-        plans: HashMap<(NodeId, NodeId), ReplicationPlan>,
+        plans: EdgePlans,
     ) -> HierarchicalScheme {
         let mut s = HierarchicalScheme::new(config);
         s.fixed = Some((hierarchy, plans));
@@ -328,7 +326,7 @@ impl HierarchicalScheme {
 
     /// The current replication plans, keyed by `(parent, child)`.
     #[must_use]
-    pub fn plans(&self) -> &HashMap<(NodeId, NodeId), ReplicationPlan> {
+    pub fn plans(&self) -> &EdgePlans {
         &self.plans
     }
 
@@ -368,7 +366,7 @@ impl HierarchicalScheme {
             self.plans = match self.config.replication {
                 Some(requirement) => ReplicationPlanner::new(requirement, self.config.max_relays)
                     .plan_hierarchy(&hierarchy, &graph),
-                None => HashMap::new(),
+                None => EdgePlans::default(),
             };
             self.hierarchy = Some(hierarchy);
         }
@@ -902,16 +900,16 @@ mod tests {
         // Source meets member 2 — but 2's parent is 1, so no delivery.
         h.now = SimTime::from_secs(10.0);
         s.on_contact(NodeId(0), NodeId(2), &mut h.ctx());
-        assert_eq!(h.member_versions[&NodeId(2)], 0);
+        assert_eq!(h.held(NodeId(2)), 0);
 
         // Source meets its child 1: refresh.
         s.on_contact(NodeId(0), NodeId(1), &mut h.ctx());
-        assert_eq!(h.member_versions[&NodeId(1)], 1);
+        assert_eq!(h.held(NodeId(1)), 1);
 
         // 1 meets its child 2: refresh cascades.
         h.now = SimTime::from_secs(20.0);
         s.on_contact(NodeId(1), NodeId(2), &mut h.ctx());
-        assert_eq!(h.member_versions[&NodeId(2)], 1);
+        assert_eq!(h.held(NodeId(2)), 1);
         assert_eq!(h.transmissions, 2);
     }
 
@@ -950,12 +948,12 @@ mod tests {
         // Source meets relay 3: replica handed over.
         s.on_contact(NodeId(0), NodeId(3), &mut h.ctx());
         assert_eq!(h.replicas, 1);
-        assert_eq!(h.member_versions[&NodeId(2)], 0);
+        assert_eq!(h.held(NodeId(2)), 0);
 
         // Relay 3 meets child 2: delivery.
         h.now = SimTime::from_secs(8.0);
         s.on_contact(NodeId(3), NodeId(2), &mut h.ctx());
-        assert_eq!(h.member_versions[&NodeId(2)], 1);
+        assert_eq!(h.held(NodeId(2)), 1);
 
         // Relay copy dropped: meeting 2 again transfers nothing.
         let tx = h.transmissions;
@@ -986,11 +984,7 @@ mod tests {
         s.on_contact(NodeId(3), NodeId(1), &mut h.ctx());
         h.now = SimTime::from_secs(8.0);
         s.on_contact(NodeId(3), NodeId(2), &mut h.ctx());
-        assert_eq!(
-            h.member_versions[&NodeId(2)],
-            0,
-            "stale copy must not deliver"
-        );
+        assert_eq!(h.held(NodeId(2)), 0, "stale copy must not deliver");
     }
 
     #[test]
@@ -1009,7 +1003,7 @@ mod tests {
         s.on_contact(NodeId(1), NodeId(2), &mut h.ctx());
         assert_eq!(h.transmissions, 0);
         s.on_contact(NodeId(0), NodeId(2), &mut h.ctx());
-        assert_eq!(h.member_versions[&NodeId(2)], 1);
+        assert_eq!(h.held(NodeId(2)), 1);
     }
 
     #[test]
@@ -1187,13 +1181,13 @@ mod tests {
         h.fail_all_transfers();
         h.now = SimTime::from_secs(8.0);
         s.on_contact(NodeId(3), NodeId(2), &mut h.ctx());
-        assert_eq!(h.member_versions[&NodeId(2)], 0);
+        assert_eq!(h.held(NodeId(2)), 0);
         assert_eq!(h.extras.get("relay-retries"), 1);
         // Next meeting retries and succeeds.
         h.faults = None;
         h.now = SimTime::from_secs(9.0);
         s.on_contact(NodeId(3), NodeId(2), &mut h.ctx());
-        assert_eq!(h.member_versions[&NodeId(2)], 1);
+        assert_eq!(h.held(NodeId(2)), 1);
     }
 
     #[test]
@@ -1213,7 +1207,7 @@ mod tests {
         h.now = SimTime::from_secs(9.0);
         s.on_contact(NodeId(3), NodeId(2), &mut h.ctx());
         assert_eq!(h.transmissions, tx, "copy was dropped on first failure");
-        assert_eq!(h.member_versions[&NodeId(2)], 0);
+        assert_eq!(h.held(NodeId(2)), 0);
     }
 
     #[test]
@@ -1320,11 +1314,11 @@ mod tests {
         s.on_contact(NodeId(3), NodeId(2), &mut h.ctx());
         assert_eq!(h.transmissions, tx, "backoff must defer the attempt");
         assert_eq!(h.extras.get("retry-backoff-deferrals"), 1);
-        assert_eq!(h.member_versions[&NodeId(2)], 0);
+        assert_eq!(h.held(NodeId(2)), 0);
         // Past the window the retry goes out and succeeds.
         h.now = SimTime::from_secs(19.0);
         s.on_contact(NodeId(3), NodeId(2), &mut h.ctx());
-        assert_eq!(h.member_versions[&NodeId(2)], 1);
+        assert_eq!(h.held(NodeId(2)), 1);
     }
 
     #[test]
@@ -1348,7 +1342,7 @@ mod tests {
         // Parent 1 holds version 1; its two direct deliveries to child 2
         // are lost on the air.
         h.current_version = 1;
-        h.member_versions.insert(NodeId(1), 1);
+        h.set_held(NodeId(1), 1);
         h.fail_all_transfers();
         h.now = SimTime::from_secs(10.0);
         s.on_contact(NodeId(1), NodeId(2), &mut h.ctx());
@@ -1415,7 +1409,7 @@ mod tests {
                 ..HierarchicalConfig::default()
             },
             stale,
-            std::collections::HashMap::new(),
+            EdgePlans::default(),
         );
         s.on_start(&mut h.ctx());
         assert!(!s.hierarchy().unwrap().contains(NodeId(2)));
@@ -1465,7 +1459,7 @@ mod tests {
                 ..HierarchicalConfig::default()
             },
             tree,
-            std::collections::HashMap::new(),
+            EdgePlans::default(),
         );
         s.on_start(&mut h.ctx());
         h.now = SimTime::from_secs(100.0);

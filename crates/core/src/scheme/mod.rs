@@ -19,8 +19,6 @@ pub use hierarchical::{
     HierarchicalConfig, HierarchicalScheme, PlanningMode, ResilienceConfig, RetryPolicy,
 };
 
-use std::collections::HashMap;
-
 use omn_contacts::estimate::PairRateTable;
 use omn_contacts::faults::FaultPlan;
 use omn_contacts::{ContactGraph, NodeId};
@@ -99,8 +97,13 @@ pub struct SchemeCtx<'a> {
     pub(crate) current_version: u64,
     pub(crate) root: NodeId,
     pub(crate) members: &'a [NodeId],
-    pub(crate) member_versions: &'a mut HashMap<NodeId, u64>,
-    pub(crate) receipts: &'a mut HashMap<NodeId, Vec<(SimTime, u64)>>,
+    /// The version each member caches, aligned with `members`.
+    pub(crate) member_versions: &'a mut [u64],
+    /// Each member's `(instant, version)` absorptions, aligned with
+    /// `members`.
+    pub(crate) receipts: &'a mut [Vec<(SimTime, u64)>],
+    /// The contact-rate table of the whole world, lent by the driving
+    /// loop (one table however many participants share the contacts).
     pub(crate) rates: &'a mut PairRateTable,
     pub(crate) oracle: &'a ContactGraph,
     pub(crate) transmissions: &'a mut u64,
@@ -157,7 +160,13 @@ impl SchemeCtx<'_> {
     /// True if `node` is a caching node.
     #[must_use]
     pub fn is_member(&self, node: NodeId) -> bool {
-        self.members.binary_search(&node).is_ok()
+        self.slot(node).is_some()
+    }
+
+    /// The index of member `node` in `members` (and in the state aligned
+    /// with it), or `None` for a non-member.
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        self.members.binary_search(&node).ok()
     }
 
     /// The version held by `node`: the source always holds the current
@@ -168,7 +177,7 @@ impl SchemeCtx<'_> {
         if node == self.root {
             Some(self.current_version)
         } else {
-            self.member_versions.get(&node).copied()
+            self.slot(node).map(|i| self.member_versions[i])
         }
     }
 
@@ -197,11 +206,10 @@ impl SchemeCtx<'_> {
     /// later. Counted under `"corrupted-transfers"` (drawn corrupt) and
     /// `"corrupted-rejections"` (survived the air and was refused).
     pub fn try_deliver(&mut self, from: NodeId, to: NodeId, version: u64) -> Delivery {
-        if !self.is_member(to) || version > self.current_version {
+        let Some(slot) = self.slot(to) else {
             return Delivery::Unneeded;
-        }
-        let held = self.member_versions.get(&to).copied();
-        if held.is_some_and(|h| h >= version) {
+        };
+        if version > self.current_version || self.member_versions[slot] >= version {
             return Delivery::Unneeded;
         }
         // The corruption draw happens once per needed transfer, from its
@@ -229,16 +237,19 @@ impl SchemeCtx<'_> {
             self.extras.add("corrupted-rejections", 1);
             return Delivery::Failed;
         }
-        self.member_versions.insert(to, version);
-        self.receipts
-            .entry(to)
-            .or_default()
-            .push((self.now, version));
+        self.absorb(slot, version);
+        Delivery::Delivered
+    }
+
+    /// Member `slot` absorbs `version`: its cache, its receipts and the
+    /// oracles see it.
+    fn absorb(&mut self, slot: usize, version: u64) {
+        self.member_versions[slot] = version;
+        self.receipts[slot].push((self.now, version));
         self.observe(&OracleObs::Absorb {
-            node: u64::from(to.0),
+            node: u64::from(self.members[slot].0),
             version,
         });
-        Delivery::Delivered
     }
 
     /// Counts a transmission by `from` and draws injected transmission
@@ -349,20 +360,16 @@ impl SchemeCtx<'_> {
             // Obsolete while queued: the receiver caught up (or the frame
             // outran the source, which cannot happen but stays cheap to
             // guard). Discarded, not transmitted.
-            let obsolete = !self.is_member(to)
-                || pending.version > self.current_version
-                || self
-                    .member_versions
-                    .get(&to)
-                    .copied()
-                    .is_some_and(|held| held >= pending.version);
-            if obsolete {
+            let live = self.slot(to).filter(|&i| {
+                pending.version <= self.current_version && self.member_versions[i] < pending.version
+            });
+            let Some(slot) = live else {
                 self.queues
                     .as_mut()
                     .expect("queues exist: head was just read")
                     .discard(from.index());
                 continue;
-            }
+            };
             if !self.consume_budget(bytes).granted() {
                 // This contact cannot carry it either; it stays queued.
                 return;
@@ -375,15 +382,7 @@ impl SchemeCtx<'_> {
             if !self.transmit_with_loss(from) {
                 continue;
             }
-            self.member_versions.insert(to, pending.version);
-            self.receipts
-                .entry(to)
-                .or_default()
-                .push((self.now, pending.version));
-            self.observe(&OracleObs::Absorb {
-                node: u64::from(to.0),
-                version: pending.version,
-            });
+            self.absorb(slot, pending.version);
         }
     }
 
@@ -499,8 +498,8 @@ pub(crate) mod testutil {
         pub current_version: u64,
         pub root: NodeId,
         pub members: Vec<NodeId>,
-        pub member_versions: HashMap<NodeId, u64>,
-        pub receipts: HashMap<NodeId, Vec<(SimTime, u64)>>,
+        pub member_versions: Vec<u64>,
+        pub receipts: Vec<Vec<(SimTime, u64)>>,
         pub rates: PairRateTable,
         pub oracle: ContactGraph,
         pub transmissions: u64,
@@ -524,11 +523,8 @@ pub(crate) mod testutil {
     impl CtxHarness {
         pub fn new(oracle: ContactGraph, root: NodeId, members: Vec<NodeId>) -> CtxHarness {
             let oracle_nodes = oracle.node_count();
-            let member_versions = members.iter().map(|&m| (m, 0)).collect();
-            let receipts = members
-                .iter()
-                .map(|&m| (m, vec![(SimTime::ZERO, 0u64)]))
-                .collect();
+            let member_versions = vec![0; members.len()];
+            let receipts = vec![vec![(SimTime::ZERO, 0u64)]; members.len()];
             CtxHarness {
                 now: SimTime::ZERO,
                 current_version: 0,
@@ -585,6 +581,28 @@ pub(crate) mod testutil {
                 SimTime::from_secs(1.0),
                 &omn_sim::RngFactory::new(1),
             ));
+        }
+
+        fn slot(&self, node: NodeId) -> usize {
+            self.members
+                .binary_search(&node)
+                .expect("a member of the harness")
+        }
+
+        /// The version member `node` caches.
+        pub fn held(&self, node: NodeId) -> u64 {
+            self.member_versions[self.slot(node)]
+        }
+
+        /// Sets the version member `node` caches, out of band.
+        pub fn set_held(&mut self, node: NodeId, version: u64) {
+            let slot = self.slot(node);
+            self.member_versions[slot] = version;
+        }
+
+        /// Member `node`'s receipts.
+        pub fn receipts_of(&self, node: NodeId) -> &[(SimTime, u64)] {
+            &self.receipts[self.slot(node)]
         }
 
         pub fn ctx(&mut self) -> SchemeCtx<'_> {
@@ -649,7 +667,7 @@ mod tests {
         // Non-members fail.
         assert!(!ctx.deliver_version(NodeId(0), NodeId(3), 1));
         assert_eq!(h.transmissions, 1);
-        assert_eq!(h.receipts[&NodeId(1)].len(), 2);
+        assert_eq!(h.receipts_of(NodeId(1)).len(), 2);
     }
 
     #[test]
@@ -688,7 +706,7 @@ mod tests {
         assert_eq!(h.transmissions, 2, "lost transfers still count as load");
         assert_eq!(h.extras.get("failed-transmissions"), 2);
         assert_eq!(
-            h.receipts[&NodeId(1)].len(),
+            h.receipts_of(NodeId(1)).len(),
             1,
             "no receipt for a lost transfer"
         );
@@ -720,7 +738,7 @@ mod tests {
         assert_eq!(h.extras.get("corrupted-transfers"), 1);
         assert_eq!(h.extras.get("corrupted-rejections"), 1);
         assert_eq!(
-            h.receipts[&NodeId(1)].len(),
+            h.receipts_of(NodeId(1)).len(),
             1,
             "no receipt for a rejected transfer"
         );
@@ -780,12 +798,12 @@ mod tests {
         // Next contact with capacity: the queued frame drains and delivers.
         h.budget = Some(TransferBudget::unlimited().with_byte_capacity(Some(100)));
         h.ctx().drain_queued(NodeId(0), NodeId(2));
-        assert_eq!(h.member_versions[&NodeId(2)], 1);
+        assert_eq!(h.held(NodeId(2)), 1);
         assert_eq!(h.extras.get("queued-refresh-drains"), 1);
         assert_eq!(h.transmissions, 2);
         assert!(h.queues.as_ref().unwrap().is_empty());
         assert_eq!(
-            h.receipts[&NodeId(2)].len(),
+            h.receipts_of(NodeId(2)).len(),
             2,
             "drained frame is receipted"
         );
@@ -810,19 +828,19 @@ mod tests {
         // order blocks the queue — nothing drains.
         h.budget = Some(TransferBudget::unlimited().with_byte_capacity(Some(1000)));
         h.ctx().drain_queued(NodeId(0), NodeId(2));
-        assert_eq!(h.member_versions[&NodeId(2)], 0);
+        assert_eq!(h.held(NodeId(2)), 0);
         assert_eq!(h.queues.as_ref().unwrap().depth(0), 2);
 
         // Node 1 catches up out of band: its frame is obsolete and is
         // discarded without spending any bytes when 0 meets 1 again.
-        h.member_versions.insert(NodeId(1), 1);
+        h.set_held(NodeId(1), 1);
         h.ctx().drain_queued(NodeId(0), NodeId(1));
         assert_eq!(h.queues.as_ref().unwrap().depth(0), 1);
         assert_eq!(h.budget.as_ref().unwrap().bytes_used(), 0);
 
         // With the head gone, 0↔2 delivers the remaining frame.
         h.ctx().drain_queued(NodeId(0), NodeId(2));
-        assert_eq!(h.member_versions[&NodeId(2)], 1);
+        assert_eq!(h.held(NodeId(2)), 1);
         assert!(h.queues.as_ref().unwrap().is_empty());
     }
 

@@ -25,8 +25,6 @@
 //! conventions the old hand-rolled loop encoded implicitly. Handling a
 //! contact schedules nothing.
 
-use std::collections::HashMap;
-
 use omn_contacts::estimate::PairRateTable;
 use omn_contacts::faults::{FaultConfig, FaultPlan};
 use omn_contacts::{
@@ -638,14 +636,23 @@ impl FreshnessSimulator {
             engine.schedule_at_class(t, timer.class(), timer);
         }
 
-        run.on_start(scheme, driver.plan_mut());
+        let mut rates = PairRateTable::new(SimTime::ZERO);
+        run.on_start(scheme, driver.plan_mut(), &mut rates);
         while let Some(step) = next_step(&mut engine, &mut driver) {
             match step {
-                Step::Timer(now, timer) => run.on_timer(timer, now, scheme, driver.plan_mut()),
+                Step::Timer(now, timer) => {
+                    run.on_timer(timer, now, scheme, driver.plan_mut(), &mut rates);
+                }
                 Step::Contact(_, c) => {
                     let (a, b) = c.pair();
                     let fate = driver.fate(&c);
-                    run.on_contact(a, b, fate, c.start(), scheme, driver.plan_mut(), None);
+                    // The rate table sees a contact before any layer does;
+                    // a suppressed contact is no radio sighting.
+                    if fate == ContactFate::Deliverable {
+                        rates.record_contact(a, b);
+                    }
+                    let faults = driver.plan_mut();
+                    run.on_contact(a, b, fate, c.start(), scheme, faults, &mut rates, None);
                 }
             }
         }
@@ -653,7 +660,7 @@ impl FreshnessSimulator {
             contacts_total: driver.contacts_pulled(),
             peak_resident: driver.peak_resident(),
         };
-        (run.finish(scheme, driver.plan_mut()), stats)
+        (run.finish(scheme, driver.plan_mut(), &mut rates), stats)
     }
 }
 
@@ -670,10 +677,22 @@ pub struct StreamStats {
     pub peak_resident: usize,
 }
 
+/// The version member `node` caches, given the sorted `members` and the
+/// versions aligned with them; `None` for a non-member.
+fn member_version(members: &[NodeId], versions: &[u64], node: NodeId) -> Option<u64> {
+    members.binary_search(&node).ok().map(|i| versions[i])
+}
+
 /// One freshness participant: the complete per-item state of a freshness
-/// run (member caches, receipts, rate estimators, workload, counters),
-/// with one entry point for timers ([`FreshnessRun::on_timer`]) and one
-/// for contacts ([`FreshnessRun::on_contact`]).
+/// run (member caches, receipts, workload, counters), with one entry point
+/// for timers ([`FreshnessRun::on_timer`]) and one for contacts
+/// ([`FreshnessRun::on_contact`]).
+///
+/// The contact-rate table the schemes estimate from is not per item: the
+/// driving loop owns one [`PairRateTable`] per world, records each
+/// deliverable contact into it before any layer handles the contact, and
+/// lends it to every entry point. Every participant's table would start at
+/// [`SimTime::ZERO`] and see the same contacts, so one table is exact.
 ///
 /// Two loops drive it. The joint world ([`crate::joint`]) drives many
 /// participants — and the cooperative-caching layer — from a single
@@ -687,10 +706,13 @@ pub struct FreshnessRun<'a> {
     members: Vec<NodeId>,
     schedule: UpdateSchedule,
     oracle: &'a ContactGraph,
-    rates: PairRateTable,
     rng: StdRng,
-    member_versions: HashMap<NodeId, u64>,
-    receipts: HashMap<NodeId, Vec<(SimTime, u64)>>,
+    /// The version each member caches, aligned with `members` (a node's
+    /// slot is its index there).
+    member_versions: Vec<u64>,
+    /// Each member's `(instant, version)` absorptions, aligned with
+    /// `members`.
+    receipts: Vec<Vec<(SimTime, u64)>>,
     transmissions: u64,
     replicas: u64,
     per_node_tx: Vec<u64>,
@@ -835,16 +857,12 @@ impl<'a> FreshnessRun<'a> {
             source,
             // All members hold version 0 at t=0 (placement done by the
             // caching layer).
-            member_versions: members.iter().map(|&m| (m, 0)).collect(),
-            receipts: members
-                .iter()
-                .map(|&m| (m, vec![(SimTime::ZERO, 0u64)]))
-                .collect(),
+            member_versions: vec![0; members.len()],
+            receipts: vec![vec![(SimTime::ZERO, 0u64)]; members.len()],
             tracker: FreshnessTracker::new(members.len(), members.len(), SimTime::ZERO),
             members: members.to_vec(),
             schedule,
             oracle,
-            rates: PairRateTable::new(SimTime::ZERO),
             rng: factory.stream("scheme"),
             transmissions: 0,
             replicas: 0,
@@ -879,10 +897,11 @@ impl<'a> FreshnessRun<'a> {
         &self.members
     }
 
-    /// The cache version each member currently holds.
+    /// The cache version member `node` currently holds, or `None` when
+    /// `node` is not a member (the source included).
     #[must_use]
-    pub fn member_versions(&self) -> &HashMap<NodeId, u64> {
-        &self.member_versions
+    pub fn member_version(&self, node: NodeId) -> Option<u64> {
+        member_version(&self.members, &self.member_versions, node)
     }
 
     /// The version currently held by the source.
@@ -895,17 +914,13 @@ impl<'a> FreshnessRun<'a> {
         self.last_contact_start.is_some_and(|last| t <= last)
     }
 
-    fn is_server(&self, n: NodeId) -> bool {
-        n == self.source || self.members.binary_search(&n).is_ok()
-    }
-
     fn avail_ratio(&self, now: SimTime) -> f64 {
         match self.lifetime {
             None => 1.0,
             Some(l) => {
                 let alive = self
                     .member_versions
-                    .values()
+                    .iter()
                     .filter(|&&v| self.schedule.birth_of(v) + l > now)
                     .count();
                 alive as f64 / self.member_versions.len().max(1) as f64
@@ -917,6 +932,7 @@ impl<'a> FreshnessRun<'a> {
         &'b mut self,
         now: SimTime,
         faults: Option<&'b mut FaultPlan>,
+        rates: &'b mut PairRateTable,
         budget: Option<&'b mut TransferBudget>,
     ) -> SchemeCtx<'b> {
         SchemeCtx {
@@ -926,7 +942,7 @@ impl<'a> FreshnessRun<'a> {
             members: &self.members,
             member_versions: &mut self.member_versions,
             receipts: &mut self.receipts,
-            rates: &mut self.rates,
+            rates,
             oracle: self.oracle,
             transmissions: &mut self.transmissions,
             replicas: &mut self.replicas,
@@ -942,8 +958,13 @@ impl<'a> FreshnessRun<'a> {
     }
 
     /// Delivers the scheme's start hook (once, before any event).
-    pub fn on_start(&mut self, scheme: &mut dyn RefreshScheme, faults: Option<&mut FaultPlan>) {
-        scheme.on_start(&mut self.ctx(SimTime::ZERO, faults, None));
+    pub fn on_start(
+        &mut self,
+        scheme: &mut dyn RefreshScheme,
+        faults: Option<&mut FaultPlan>,
+        rates: &mut PairRateTable,
+    ) {
+        scheme.on_start(&mut self.ctx(SimTime::ZERO, faults, rates, None));
     }
 
     /// Handles a timer firing at `now`. Timer hooks of the scheme run
@@ -954,12 +975,13 @@ impl<'a> FreshnessRun<'a> {
         now: SimTime,
         scheme: &mut dyn RefreshScheme,
         faults: Option<&mut FaultPlan>,
+        rates: &mut PairRateTable,
     ) {
         match timer {
-            FreshnessTimer::Birth(v) => self.on_birth(v, now, scheme, faults),
+            FreshnessTimer::Birth(v) => self.on_birth(v, now, scheme, faults, rates),
             FreshnessTimer::Query(i) => self.on_query(i),
             FreshnessTimer::Expiry(i) => self.on_expiry(i),
-            FreshnessTimer::Rejoin(n, lost) => self.on_rejoin(n, lost, now, scheme, faults),
+            FreshnessTimer::Rejoin(n, lost) => self.on_rejoin(n, lost, now, scheme, faults, rates),
         }
     }
 
@@ -970,19 +992,24 @@ impl<'a> FreshnessRun<'a> {
         now: SimTime,
         scheme: &mut dyn RefreshScheme,
         faults: Option<&mut FaultPlan>,
+        rates: &mut PairRateTable,
     ) {
         self.current_version = v;
         self.world.advance_to(now);
         self.world.oracle_timer("birth");
         if self.in_contact_range(now) {
-            scheme.on_version_birth(v, &mut self.ctx(now, faults, None));
+            scheme.on_version_birth(v, &mut self.ctx(now, faults, rates, None));
         }
-        let fresh = self
-            .member_versions
-            .values()
-            .filter(|&&mv| mv == self.current_version)
-            .count();
+        let fresh = self.fresh_count();
         self.tracker.set_fresh(fresh, now);
+    }
+
+    /// The members holding the current version.
+    fn fresh_count(&self) -> usize {
+        self.member_versions
+            .iter()
+            .filter(|&&v| v == self.current_version)
+            .count()
     }
 
     /// Handles the issue of query `i`: members and the source serve
@@ -992,10 +1019,8 @@ impl<'a> FreshnessRun<'a> {
         let (issued, node) = self.queries[i];
         let self_version = if node == self.source {
             Some(self.current_version)
-        } else if self.is_server(node) {
-            self.member_versions.get(&node).copied()
         } else {
-            None
+            self.member_version(node)
         };
         if self_version.is_some() {
             self.queries_served += 1;
@@ -1028,21 +1053,24 @@ impl<'a> FreshnessRun<'a> {
         now: SimTime,
         scheme: &mut dyn RefreshScheme,
         faults: Option<&mut FaultPlan>,
+        rates: &mut PairRateTable,
     ) {
         self.extras.add("rejoin-events", 1);
         if state_loss {
             self.extras.add("crash-rejoins", 1);
-            // The cache is gone; keep the map entry (the availability and
-            // freshness denominators count the node) but drop it to the
-            // pre-placement version.
-            self.member_versions.insert(n, 0);
+            // The cache is gone; keep the member's slot (the availability
+            // and freshness denominators count the node) but drop it to
+            // the pre-placement version.
+            if let Ok(slot) = self.members.binary_search(&n) {
+                self.member_versions[slot] = 0;
+            }
             self.world.advance_to(now);
             self.world.oracle_event(&OracleObs::StateLoss {
                 node: u64::from(n.0),
             });
-            scheme.on_state_loss(n, &mut self.ctx(now, faults, None));
+            scheme.on_state_loss(n, &mut self.ctx(now, faults, rates, None));
         }
-        if self.member_versions.get(&n).copied() == Some(self.current_version) {
+        if self.member_version(n) == Some(self.current_version) {
             self.recovery_delays.record(0.0);
         } else {
             self.pending_recoveries.push((now, n));
@@ -1050,9 +1078,10 @@ impl<'a> FreshnessRun<'a> {
     }
 
     /// Handles a contact between `a` and `b` with the fate the shared
-    /// driver assigned it. Refresh transmissions the scheme makes draw on
-    /// `budget` when one is given (joint worlds); `None` means unlimited
-    /// capacity.
+    /// driver assigned it. The driving loop has already recorded a
+    /// deliverable contact into `rates`. Refresh transmissions the scheme
+    /// makes draw on `budget` when one is given (joint worlds); `None`
+    /// means unlimited capacity.
     #[allow(clippy::too_many_arguments)]
     pub fn on_contact(
         &mut self,
@@ -1062,11 +1091,11 @@ impl<'a> FreshnessRun<'a> {
         now: SimTime,
         scheme: &mut dyn RefreshScheme,
         faults: Option<&mut FaultPlan>,
+        rates: &mut PairRateTable,
         budget: Option<&mut TransferBudget>,
     ) {
         let deliverable = fate == ContactFate::Deliverable;
         if deliverable {
-            self.rates.record_contact(a, b);
             if self.world.has_oracles() {
                 self.world.advance_to(now);
                 self.world.oracle_contact(u64::from(a.0), u64::from(b.0));
@@ -1074,7 +1103,7 @@ impl<'a> FreshnessRun<'a> {
             // Queued (byte-deferred) refreshes drain first: frames already
             // waiting at either endpoint take link capacity before the
             // scheme makes new decisions for this contact.
-            let mut ctx = self.ctx(now, faults, budget);
+            let mut ctx = self.ctx(now, faults, rates, budget);
             ctx.drain_queued(a, b);
             scheme.on_contact(a, b, &mut ctx);
         } else {
@@ -1085,11 +1114,11 @@ impl<'a> FreshnessRun<'a> {
 
         // Members recover once they again hold the current version.
         if !self.pending_recoveries.is_empty() {
-            let member_versions = &self.member_versions;
+            let (members, member_versions) = (&self.members, &self.member_versions);
             let current_version = self.current_version;
             let recovery_delays = &mut self.recovery_delays;
             self.pending_recoveries.retain(|&(since, n)| {
-                if member_versions.get(&n).copied() == Some(current_version) {
+                if member_version(members, member_versions, n) == Some(current_version) {
                     recovery_delays.record(now.saturating_since(since).as_secs());
                     false
                 } else {
@@ -1098,11 +1127,7 @@ impl<'a> FreshnessRun<'a> {
             });
         }
 
-        let fresh = self
-            .member_versions
-            .values()
-            .filter(|&&v| v == self.current_version)
-            .count();
+        let fresh = self.fresh_count();
         if fresh != self.tracker.fresh_count() {
             self.tracker.set_fresh(fresh, now);
         }
@@ -1134,7 +1159,7 @@ impl<'a> FreshnessRun<'a> {
                         let v = if s == source {
                             Some(current_version)
                         } else {
-                            member_versions.get(&s).copied()
+                            member_version(members, member_versions, s)
                         };
                         *queries_served += 1;
                         query_delays.record(now.saturating_since(issued).as_secs());
@@ -1154,9 +1179,10 @@ impl<'a> FreshnessRun<'a> {
         mut self,
         scheme: &mut dyn RefreshScheme,
         faults: Option<&mut FaultPlan>,
+        rates: &mut PairRateTable,
     ) -> FreshnessReport {
         let span = self.span;
-        scheme.on_finish(&mut self.ctx(span, faults, None));
+        scheme.on_finish(&mut self.ctx(span, faults, rates, None));
         self.world.advance_to(span);
         self.world.oracle_end_of_run();
         let oracle = self.world.take_oracle_report();
@@ -1169,11 +1195,10 @@ impl<'a> FreshnessRun<'a> {
         let deadline = self.requirement_deadline;
         let mut satisfied = 0usize;
         let mut satisfiable = 0usize;
-        for &m in &self.members {
-            let recs = &self.receipts[&m];
+        for recs in &self.receipts {
             for v in 1..self.schedule.version_count() {
                 let birth = self.schedule.birth_of(v);
-                // First time m held a version ≥ v.
+                // First time the member held a version ≥ v.
                 let first = recs.iter().find(|&&(_, rv)| rv >= v).map(|&(t, _)| t);
                 if let Some(t) = first {
                     if t >= birth {
@@ -1214,15 +1239,12 @@ impl<'a> FreshnessRun<'a> {
             recovery_delays: self.recovery_delays,
             oracle,
             link: self.tx_queues.as_ref().map(|q| *q.stats()),
-            final_member_versions: {
-                let mut fv: Vec<(NodeId, u64)> = self
-                    .members
-                    .iter()
-                    .map(|&m| (m, self.member_versions.get(&m).copied().unwrap_or(0)))
-                    .collect();
-                fv.sort_unstable();
-                fv
-            },
+            final_member_versions: self
+                .members
+                .iter()
+                .copied()
+                .zip(self.member_versions)
+                .collect(),
             members: self.members,
         }
     }

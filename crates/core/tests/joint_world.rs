@@ -12,6 +12,7 @@ use omn_caching::{CachingConfig, Catalog};
 use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
 use omn_contacts::{ContactGraph, ContactTrace, NodeId};
 use omn_core::joint::{ContentionPriority, JointConfig, JointSimulator};
+use omn_core::scheme::PlanningMode;
 use omn_core::sim::{FreshnessConfig, FreshnessReport, FreshnessSimulator, SchemeChoice};
 use omn_sim::{RngFactory, SimDuration};
 
@@ -71,11 +72,26 @@ fn assert_reports_identical(joint: &FreshnessReport, solo: &FreshnessReport) {
     assert_eq!(je, se);
 }
 
+/// Under oracle planning no participant reads the contact-rate table, so
+/// the deployable setting (estimated rates, periodic rebuilds, distributed
+/// re-parenting) runs too: the joint world's one shared table must answer
+/// every participant as its own standalone table would.
 #[test]
 fn zero_query_joint_is_bit_identical_to_standalone_freshness() {
+    let deployable = FreshnessConfig {
+        planning: PlanningMode::Estimated,
+        rebuild_every: Some(SimDuration::from_hours(6.0)),
+        reparent: true,
+        ..freshness_config()
+    };
+    for fc in [freshness_config(), deployable] {
+        assert_zero_query_joint_matches_standalone(fc);
+    }
+}
+
+fn assert_zero_query_joint_matches_standalone(fc: FreshnessConfig) {
     let (trace, catalog, _, factory) = scenario();
     let no_queries = QueryWorkload::new(Vec::new());
-    let fc = freshness_config();
     let joint = JointSimulator::new(JointConfig {
         freshness: Some(fc),
         scheme: SchemeChoice::Hierarchical,

@@ -19,6 +19,8 @@
 //!   mode).
 //! * [`metrics`] — counters, time-weighted averages, sample histograms and
 //!   timelines for measuring simulations.
+//! * [`fxhash`] — the multiply-rotate hasher behind [`FxHashMap`] and
+//!   [`FxHashSet`], for maps probed on every contact.
 //! * [`stats`] — summary statistics, empirical CDFs and confidence intervals
 //!   for reporting results across seeds.
 //!
@@ -50,6 +52,7 @@
 
 mod budget;
 mod engine;
+pub mod fxhash;
 mod link;
 pub mod metrics;
 pub mod oracle;
@@ -61,6 +64,7 @@ mod world;
 
 pub use budget::{ByteConsume, TransferBudget};
 pub use engine::{Engine, ScheduledEvent};
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use link::{LinkConfig, LinkStats, Queued, TxQueues};
 pub use oracle::{InvariantOracle, OracleMode, OracleObs, OracleReport, OracleSink, Violation};
 pub use queue::{EventClass, EventQueue};
